@@ -243,15 +243,15 @@ VECTOR_BATCH_ROWS_SWEEP = (256, 512, 1024, 2048, 4096, 8192)
 def vector_bench(
     scale: dict, out_path: str = "BENCH_vector.json", seed: int = DEFAULT_SEED
 ) -> dict:
-    """Vectorized execution core: before/after on the same machine.
+    """Vectorized execution core on the ``columns(Sales)`` layout.
 
-    Writes ``BENCH_vector.json`` — scan / group-by / join throughput on the
-    ``columns(Sales)`` layout with ``store.vectorized`` on vs off (the "off"
-    mode runs the identical batch pipeline transposed to row tuples at the
-    leaf, so the delta isolates the typed-buffer paths), a ``batch_rows``
-    sweep justifying the default granularity, and the pure-Python
-    ``array``-module fallback with numpy disabled. All modes are verified
-    against each other before timing.
+    Writes ``BENCH_vector.json`` — scan throughput against the
+    tuple-at-a-time oracle, filter / group-by / join throughput through
+    the columnar operators, a ``batch_rows`` sweep justifying the default
+    granularity, and the pure-Python ``array``-module fallback with numpy
+    disabled (scan, filter and group-by, whose filter runs the compiled
+    closure because ``filter_vector`` declines without numpy). The
+    fallback's answers are verified against the numpy run's.
     """
     from repro import vector
     from repro.engine.database import RodentStore
@@ -259,7 +259,7 @@ def vector_bench(
     from repro.types.schema import Schema
     from repro.workloads import SALES_SCHEMA, generate_sales
 
-    banner("Vectorized execution — typed buffers on/off (BENCH_vector.json)")
+    banner("Vectorized execution — columnar operators (BENCH_vector.json)")
     n_records = scale["n_observations"] // 2
     records = generate_sales(n_records, seed=seed)
     customer_schema = Schema.of("customerid:int", "region:int", "segment:int")
@@ -343,49 +343,31 @@ def vector_bench(
         f"({result['scan']['speedup']:.1f}x)\n"
     )
 
-    # --- operator pipeline, vectorized on vs off (row-backed leaves) ---
-    modes: dict = {}
-    answers: dict = {}
-    for mode, flag in (("vectorized", True), ("rowwise", False)):
-        store.vectorized = flag
-        answers[mode] = (
-            sorted(run_filter(store)),
-            sorted(run_groupby(store)),
-            sorted(run_join(store)),
-        )
-        modes[mode] = {
-            "filter_rows_per_sec": round(
-                best_of(lambda: run_filter(store)), 1
-            ),
-            "groupby_rows_per_sec": round(
-                best_of(lambda: run_groupby(store)), 1
-            ),
-            "join_rows_per_sec": round(best_of(lambda: run_join(store)), 1),
-        }
-    store.vectorized = True
-    assert answers["vectorized"] == answers["rowwise"], (
-        "vectorized mode changed query answers"
+    # --- operator pipeline over columnar batches ---
+    answers = (
+        sorted(run_filter(store)),
+        sorted(run_groupby(store)),
+        sorted(run_join(store)),
     )
-    result["modes"] = modes
-    print(f"{'mode':<12}{'filter':>14}{'group-by':>14}{'join':>14}")
-    for mode, stats in modes.items():
-        print(
-            f"{mode:<12}"
-            + "".join(
-                f"{stats[k]:>14,.0f}"
-                for k in (
-                    "filter_rows_per_sec",
-                    "groupby_rows_per_sec",
-                    "join_rows_per_sec",
-                )
+    operators = {
+        "filter_rows_per_sec": round(best_of(lambda: run_filter(store)), 1),
+        "groupby_rows_per_sec": round(
+            best_of(lambda: run_groupby(store)), 1
+        ),
+        "join_rows_per_sec": round(best_of(lambda: run_join(store)), 1),
+    }
+    result["operators"] = operators
+    print(f"{'filter':>14}{'group-by':>14}{'join':>14}")
+    print(
+        "".join(
+            f"{operators[k]:>14,.0f}"
+            for k in (
+                "filter_rows_per_sec",
+                "groupby_rows_per_sec",
+                "join_rows_per_sec",
             )
         )
-    for metric in ("filter", "groupby", "join"):
-        result[f"{metric}_speedup"] = round(
-            modes["vectorized"][f"{metric}_rows_per_sec"]
-            / modes["rowwise"][f"{metric}_rows_per_sec"],
-            2,
-        )
+    )
 
     # --- batch granularity sweep (justifies the default batch_rows) ---
     sweep: dict = {}
@@ -404,11 +386,14 @@ def vector_bench(
     try:
         fb_store, fb_table = build()
         assert sum(1 for _ in fb_table.scan()) == n_records
-        assert sorted(run_filter(fb_store)) == answers["vectorized"][0]
-        assert sorted(run_groupby(fb_store)) == answers["vectorized"][1]
+        assert sorted(run_filter(fb_store)) == answers[0]
+        assert sorted(run_groupby(fb_store)) == answers[1]
         result["no_numpy"] = {
             "scan_rows_per_sec": round(
                 best_of(lambda: sum(1 for _ in fb_table.scan())), 1
+            ),
+            "filter_rows_per_sec": round(
+                best_of(lambda: run_filter(fb_store)), 1
             ),
             "groupby_rows_per_sec": round(
                 best_of(lambda: run_groupby(fb_store)), 1
@@ -418,7 +403,8 @@ def vector_bench(
         vector.set_numpy_enabled(prev)
     print(
         f"\nno-numpy fallback: scan "
-        f"{result['no_numpy']['scan_rows_per_sec']:,.0f} rows/s, group-by "
+        f"{result['no_numpy']['scan_rows_per_sec']:,.0f} rows/s, filter "
+        f"{result['no_numpy']['filter_rows_per_sec']:,.0f} rows/s, group-by "
         f"{result['no_numpy']['groupby_rows_per_sec']:,.0f} rows/s"
     )
 

@@ -193,7 +193,6 @@ class RodentStore:
         catalog_path: str | None = None,
         group_commit_window: float = 0.0,
         batch_rows: int = DEFAULT_BATCH_ROWS,
-        vectorized: bool = True,
         checksums: bool = True,
         degraded_reads: bool = False,
         level_seal_rows: int = 2048,
@@ -270,11 +269,6 @@ class RodentStore:
         self.batch_rows = int(batch_rows)
         if self.batch_rows < 1:
             raise StorageError("batch_rows must be >= 1")
-        #: Vectorized execution: typed column buffers + selection bitmaps
-        #: + whole-column predicates. Settable at runtime (the fuzz suite
-        #: flips it per iteration); off = the per-row closure pipeline.
-        #: Answers are identical either way.
-        self.vectorized = bool(vectorized)
         #: Rows a levelled table's pending buffer accumulates before it
         #: seals into an immutable level-0 run. Settable at runtime (the
         #: ingest benchmark sweeps it).

@@ -25,10 +25,12 @@ representation.
 Scans execute **batch-at-a-time** internally while keeping the paper's
 per-tuple iterator API: the renderer yields page/chunk-sized
 :class:`~repro.layout.renderer.ColumnBatch` objects (bulk codec decode, bulk
-record deserialization), the predicate is compiled once into a closure /
-per-column selection masks (:meth:`repro.query.expressions.Predicate.compile`),
-projection is a precomputed ``operator.itemgetter``, and overflow/pending
-records trail as extra batches. :meth:`Table.scan_reference` keeps the
+record deserialization), each batch is filtered by
+:meth:`ColumnBatch.filter <repro.layout.renderer.ColumnBatch.filter>`
+(a selection bitmap, or the predicate compiled once into a closure) and
+projected by :meth:`ColumnBatch.project
+<repro.layout.renderer.ColumnBatch.project>`, and overflow/pending records
+trail as extra batches. :meth:`Table.scan_reference` keeps the
 original tuple-at-a-time pipeline for equivalence testing and benchmarking;
 both paths produce byte-identical results in the same order.
 """
@@ -69,6 +71,7 @@ from repro.layout.renderer import (
     ColumnBatch,
     LayoutRenderer,
     StoredLayout,
+    project_rows,
     select_column_groups,
 )
 from repro.query.expressions import Predicate
@@ -436,10 +439,10 @@ class Table:
     ) -> Iterator[list[tuple]]:
         """Batch-at-a-time scan: yields lists of output tuples.
 
-        The building blocks are assembled once per scan — vectorized
-        selection bitmaps / compiled predicate closures, columnar or
-        ``operator.itemgetter`` projection — then applied per batch, so
-        per-row Python overhead is amortized across each page/chunk.
+        The building blocks are assembled once per scan — the compiled
+        predicate closure and the projection positions — then applied per
+        batch by :meth:`ColumnBatch.filter` / :meth:`ColumnBatch.project`,
+        so per-row Python overhead is amortized across each page/chunk.
         Flattened, the batches equal :meth:`scan_reference` output exactly.
         """
         batches, mvcc, snap = self._open_scan(
@@ -570,8 +573,6 @@ class Table:
         positions = {name: i for i, name in enumerate(avail)}
 
         row_filter = None
-        use_mask = False
-        vectorized = getattr(self._db, "vectorized", True)
         if predicate is not None:
             missing = predicate.fields_used() - set(avail)
             if missing:
@@ -579,11 +580,6 @@ class Table:
                     f"predicate references unavailable field(s) {sorted(missing)}"
                 )
             row_filter = predicate.compile(positions)
-            # Mask evaluation only helps predicates with a columnar
-            # override; the generic fallback would re-zip columns anyway.
-            use_mask = (
-                type(predicate).filter_batch is not Predicate.filter_batch
-            )
 
         sort_idx: list[int] = []
         sort_desc: list[bool] = []
@@ -608,7 +604,6 @@ class Table:
             out_idx = [positions[f] for f in scan_names if f in positions]
         if out_idx is not None and out_idx == list(range(len(avail))):
             out_idx = None  # the projection is already the stored order
-        project = _batch_projector(out_idx)
         out_fields = (
             tuple(avail)
             if out_idx is None
@@ -618,28 +613,7 @@ class Table:
         def filtered(batch: ColumnBatch) -> ColumnBatch:
             if predicate is None:
                 return batch
-            if batch.is_columnar:
-                if vectorized:
-                    bitmap = predicate.filter_vector(
-                        batch.column_map(), batch.n_rows
-                    )
-                    if bitmap is not None:
-                        return batch.select(bitmap)
-                if use_mask:
-                    mask = predicate.filter_batch(
-                        batch.column_map(), batch.n_rows
-                    )
-                    return batch.select(mask)
-            return ColumnBatch.from_rows(
-                batch.fields, list(filter(row_filter, batch.rows()))
-            )
-
-        def projected(batch: ColumnBatch) -> ColumnBatch:
-            if project is None:
-                return batch
-            if batch.is_columnar:
-                return batch.project_columns(out_idx, out_fields)
-            return ColumnBatch.from_rows(out_fields, project(batch.rows()))
+            return batch.filter(predicate, row_filter)
 
         def generate() -> Iterator[ColumnBatch]:
             if sort_needed:
@@ -647,8 +621,8 @@ class Table:
                 for batch in batches:
                     collected.extend(filtered(batch).rows())
                 rows = multisort(collected, sort_idx, sort_desc)
-                if project is not None:
-                    rows = project(rows)
+                if out_idx is not None:
+                    rows = project_rows(rows, out_idx)
                 if limit is not None:
                     del rows[limit:]
                 if rows:
@@ -661,7 +635,8 @@ class Table:
                 batch = filtered(batch)
                 if not batch.n_rows:
                     continue
-                batch = projected(batch)
+                if out_idx is not None:
+                    batch = batch.project(out_idx, out_fields)
                 if remaining is not None:
                     if batch.n_rows >= remaining:
                         yield batch.head(remaining)
@@ -812,11 +787,7 @@ class Table:
         )
         fields = tuple(avail)
         renderer = self._db.renderer
-        schema_names = self.scan_schema().names()
-        projector = None
-        if avail != schema_names:
-            project_idx = [schema_names.index(f) for f in avail]
-            projector = _batch_projector(project_idx)
+        project_idx = _projection_idx(self.scan_schema().names(), avail)
         overflow_layouts = list(self._overflow)
         intervals = self._prune_intervals(predicate)
         pending = [tuple(r) for r in self._pending]
@@ -835,12 +806,10 @@ class Table:
                 else None
             )
             for batch in renderer.iter_row_batches(overflow, skip=skip):
-                if projector is None:
+                if project_idx is None:
                     yield batch
                 else:
-                    yield ColumnBatch.from_rows(
-                        fields, projector(batch.rows())
-                    )
+                    yield batch.project(project_idx, fields)
 
         def chained() -> Iterator[ColumnBatch]:
             yield from self._corruption_guard(main_batches, "main")
@@ -849,7 +818,11 @@ class Table:
                     overflow_batches(overflow), f"overflow[{i}]"
                 )
             if pending:
-                rows = pending if projector is None else projector(pending)
+                rows = (
+                    pending
+                    if project_idx is None
+                    else project_rows(pending, project_idx)
+                )
                 yield ColumnBatch.from_rows(fields, rows)
 
         return chained(), avail
@@ -941,15 +914,13 @@ class Table:
                 main, avail = self._batch_stored(
                     region.layout, needed, predicate
                 )
-                projector = _fields_projector(avail, target)
-                if projector is None:
+                idx = _projection_idx(avail, target)
+                if idx is None:
                     yield from main
                 else:
                     for batch in main:
-                        yield ColumnBatch.from_rows(
-                            fields, projector(batch.rows())
-                        )
-            over_projector = _fields_projector(scan_names, target)
+                        yield batch.project(idx, fields)
+            over_idx = _projection_idx(scan_names, target)
             for overflow in region.overflow:
                 skip = (
                     zonemaps.rows_page_skip(overflow, intervals)
@@ -957,12 +928,10 @@ class Table:
                     else None
                 )
                 for batch in renderer.iter_row_batches(overflow, skip=skip):
-                    if over_projector is None:
+                    if over_idx is None:
                         yield batch
                     else:
-                        yield ColumnBatch.from_rows(
-                            fields, over_projector(batch.rows())
-                        )
+                        yield batch.project(over_idx, fields)
             pending = [tuple(r) for r in region.pending]
             if (
                 pending
@@ -974,8 +943,8 @@ class Table:
             if pending:
                 rows = (
                     pending
-                    if over_projector is None
-                    else over_projector(pending)
+                    if over_idx is None
+                    else project_rows(pending, over_idx)
                 )
                 yield ColumnBatch.from_rows(fields, rows)
 
@@ -1110,9 +1079,7 @@ class Table:
             and not zonemaps.zone_may_match(self._pending_zone, intervals)
         ):
             pending = []
-        pending_projector = _fields_projector(
-            self.scan_schema().names(), target
-        )
+        pending_idx = _projection_idx(self.scan_schema().names(), target)
 
         def run_batches(run) -> Iterator[ColumnBatch]:
             if run.layout is None or not run.layout.row_count:
@@ -1121,31 +1088,24 @@ class Table:
             source, avail = self._batch_stored(
                 run.layout, run_needed, run_pred
             )
-            projector = _fields_projector(avail, target)
+            idx = _projection_idx(avail, target)
+            if idx is not None:
+                source = (batch.project(idx, fields) for batch in source)
             if not active and not keyed:
                 # Fast path (the ingest-heavy case): no suppression can
                 # apply, batches pass through the vectorized pipeline.
-                if projector is None:
-                    yield from source
-                    return
-                for batch in source:
-                    yield ColumnBatch.from_rows(
-                        fields, projector(batch.rows())
-                    )
+                yield from source
                 return
             for batch in source:
-                rows = batch.rows()
-                if projector is not None:
-                    rows = projector(rows)
-                kept = resolver.resolve(rows)
+                kept = resolver.resolve(batch.rows())
                 if kept:
                     yield ColumnBatch.from_rows(fields, kept)
 
         def chained() -> Iterator[ColumnBatch]:
             rows = resolver.resolve_pending(pending)
             if rows:
-                if pending_projector is not None:
-                    rows = pending_projector(rows)
+                if pending_idx is not None:
+                    rows = project_rows(rows, pending_idx)
                 yield ColumnBatch.from_rows(fields, rows)
             for run in runs:
                 yield from self._corruption_guard(
@@ -1914,7 +1874,7 @@ class Table:
             raise QueryError(
                 f"unknown projection field {exc.args[0]!r}"
             ) from None
-        return _batch_projector(out_idx)(records)
+        return project_rows(records, out_idx)
 
     # ==================================================================
     # cost API
@@ -2872,21 +2832,21 @@ def _region_may_match(spec, region, lo: float, hi: float) -> bool:
     return True
 
 
-def _fields_projector(avail: Sequence[str], target: Sequence[str]):
-    """Batch projector re-ordering ``avail``-shaped rows to ``target``
-    (``None`` when the orders already agree)."""
+def _projection_idx(
+    avail: Sequence[str], target: Sequence[str]
+) -> list[int] | None:
+    """Positions re-ordering ``avail``-shaped rows to ``target`` (``None``
+    when the orders already agree)."""
     if list(avail) == list(target):
         return None
     index = {f: i for i, f in enumerate(avail)}
-    return _batch_projector([index[f] for f in target])
+    return [index[f] for f in target]
 
 
 def _row_fields_projector(avail: Sequence[str], target: Sequence[str]):
-    """Per-row counterpart of :func:`_fields_projector`."""
-    if list(avail) == list(target):
-        return None
-    index = {f: i for i, f in enumerate(avail)}
-    return _row_projector([index[f] for f in target])
+    """Per-row counterpart of :func:`_projection_idx`."""
+    idx = _projection_idx(avail, target)
+    return None if idx is None else _row_projector(idx)
 
 
 def _row_projector(out_idx: Sequence[int]):
@@ -2899,17 +2859,6 @@ def _row_projector(out_idx: Sequence[int]):
         i = out_idx[0]
         return lambda row: (row[i],)
     return operator.itemgetter(*out_idx)
-
-
-def _batch_projector(out_idx: Sequence[int] | None):
-    """Batch projection: list of rows -> list of projected rows, or None."""
-    if out_idx is None:
-        return None
-    if len(out_idx) == 1:
-        i = out_idx[0]
-        return lambda rows: [(row[i],) for row in rows]
-    getter = operator.itemgetter(*out_idx)
-    return lambda rows: list(map(getter, rows))
 
 
 def _chunk_rows(

@@ -37,10 +37,11 @@ Read paths come in two granularities:
 
 from __future__ import annotations
 
+import operator
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.algebra.physical import (
     LAYOUT_ARRAY,
@@ -77,6 +78,9 @@ from repro.storage.page import (
 from repro.storage.serializer import RecordSerializer, VectorSerializer
 from repro.types.schema import Schema
 from repro.types.values import flatten, shape as nesting_shape
+
+if TYPE_CHECKING:  # pragma: no cover - circular import guard
+    from repro.query.expressions import Predicate
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
@@ -189,40 +193,55 @@ class ColumnBatch:
         """``field name -> value vector`` view of :meth:`columns`."""
         return dict(zip(self.fields, self.columns()))
 
-    def select(self, mask, count: int | None = None) -> "ColumnBatch":
-        """A batch restricted to the rows where ``mask`` is true.
+    def select(self, mask) -> "ColumnBatch":
+        """This columnar batch restricted to the rows where ``mask`` is true.
 
-        ``mask`` is a boolean vector over this batch's *visible* rows
-        (``n_rows`` long). Columnar batches defer the gather: the new
-        batch shares the underlying vectors and just records the bitmap.
+        ``mask`` is a boolean ndarray over the *visible* rows (``n_rows``
+        long). The gather is deferred: the new batch shares the underlying
+        vectors and just records the bitmap.
         """
-        if count is None:
-            count = vector.mask_count(mask)
+        count = int(mask.sum())
         if count == self.n_rows:
             return self
-        if self._columns is not None:
-            cols = self.columns() if self._selection is not None else self._columns
-            if count == 0:
-                return ColumnBatch(self.fields, 0, rows=[])
-            return ColumnBatch(
-                self.fields, count, columns=cols, selection=mask
-            )
-        keep = vector.to_list(mask) if not isinstance(mask, list) else mask
-        rows = [r for r, k in zip(self._rows, keep) if k]
-        return ColumnBatch.from_rows(self.fields, rows)
+        if count == 0:
+            return ColumnBatch(self.fields, 0, rows=[])
+        cols = self.columns() if self._selection is not None else self._columns
+        return ColumnBatch(self.fields, count, columns=cols, selection=mask)
 
-    def project_columns(
+    def filter(
+        self, predicate: "Predicate", row_filter: Callable[[tuple], Any]
+    ) -> "ColumnBatch":
+        """The rows that satisfy ``predicate``.
+
+        A columnar batch asks :meth:`Predicate.filter_vector` for a bitmap
+        and defers the gather behind it. Row-backed batches, and predicates
+        that decline, run ``row_filter``: the ``predicate.compile`` closure
+        the caller built once for this batch's field positions.
+        """
+        if self._columns is not None:
+            bitmap = predicate.filter_vector(self.column_map(), self.n_rows)
+            if bitmap is not None:
+                return self.select(bitmap)
+        return ColumnBatch.from_rows(
+            self.fields, list(filter(row_filter, self.rows()))
+        )
+
+    def project(
         self, idx: Sequence[int], fields: tuple[str, ...]
     ) -> "ColumnBatch":
-        """Reorder/subset columns without touching the selection bitmap
-        (columnar batches only)."""
+        """The batch narrowed/reordered to positions ``idx``, named
+        ``fields``. Columnar batches reorder their vectors and keep any
+        pending selection unresolved; row-backed batches gather each tuple
+        (:func:`project_rows`)."""
         cols = self._columns
-        return ColumnBatch(
-            fields,
-            self.n_rows,
-            columns=[cols[i] for i in idx],
-            selection=self._selection,
-        )
+        if cols is not None:
+            return ColumnBatch(
+                fields,
+                self.n_rows,
+                columns=[cols[i] for i in idx],
+                selection=self._selection,
+            )
+        return ColumnBatch.from_rows(fields, project_rows(self._rows, idx))
 
     def head(self, k: int) -> "ColumnBatch":
         """The first ``k`` visible rows (limit pushdown)."""
@@ -243,6 +262,16 @@ class ColumnBatch:
         if self._selection is not None:
             kind += "+selection"
         return f"<ColumnBatch {self.n_rows}x{len(self.fields)} {kind}>"
+
+
+def project_rows(rows: Sequence[tuple], idx: Sequence[int]) -> list[tuple]:
+    """``rows`` narrowed/reordered to positions ``idx`` by an
+    ``operator.itemgetter`` gather; a single position still yields
+    1-tuples (``itemgetter`` alone would return bare values)."""
+    if len(idx) == 1:
+        i = idx[0]
+        return [(row[i],) for row in rows]
+    return list(map(operator.itemgetter(*idx), rows))
 
 
 def select_column_groups(

@@ -14,25 +14,25 @@ A predicate can be built three ways:
   ``r.lat >= 42.1 and r.lat < 42.3``;
 * any object implementing the small :class:`Predicate` protocol.
 
-Batch execution contract (the scan pipeline's hot path):
+Evaluation contract. Each predicate has exactly two evaluators, plus
+:meth:`Predicate.matches` as the tuple-at-a-time specification that
+``Table.scan_reference`` runs:
 
-* :meth:`Predicate.compile` turns the predicate into a single Python
-  closure ``record -> truthy`` built **once per scan**: ranges become
-  chained comparisons (``lo <= r[i] <= hi``), conjunctions/disjunctions
-  are compiled into one generated expression, and scalar residuals are
-  translated from the algebra AST into Python source. The closure must
-  agree with :meth:`Predicate.matches` on every record.
-* :meth:`Predicate.filter_batch` evaluates the predicate against a batch's
-  ``field -> value vector`` mapping and returns a selection mask (one
-  truthy/falsy entry per row). Range-shaped predicates produce the mask
-  with per-column list comprehensions — no per-row method dispatch.
-* :meth:`Predicate.filter_vector` is the fully vectorized mode: whole-column
-  comparisons over typed buffers produce a boolean selection bitmap in a
-  handful of C-level calls, with And/Or/Not as bitwise ops. It returns
-  ``None`` whenever the predicate — or a column it touches — can't
-  vectorize *exactly* (non-numeric fields, division/modulo whose per-row
-  errors must surface, int/float casts that would round); callers then fall
-  back to the closure paths above, so answers never change.
+* :meth:`Predicate.filter_vector` evaluates whole columns of a columnar
+  batch into a boolean selection bitmap in a handful of C-level calls,
+  with And/Or/Not as bitwise ops. It returns ``None`` whenever the
+  predicate — or a column it touches — can't vectorize *exactly* (numpy
+  off, plain-list columns, division/modulo whose per-row errors must
+  surface, int/float casts that would round).
+* :meth:`Predicate.compile` is the fallback for everything else: one
+  Python closure ``record -> truthy`` built **once per scan**. Ranges
+  become chained comparisons (``lo <= r[i] <= hi``), conjunctions and
+  disjunctions compile into one generated expression, and scalar
+  residuals are translated from the algebra AST into Python source.
+
+Both must agree with :meth:`Predicate.matches` on every record;
+:meth:`ColumnBatch.filter <repro.layout.renderer.ColumnBatch.filter>`
+picks between them per batch.
 """
 
 from __future__ import annotations
@@ -84,33 +84,14 @@ class Predicate:
         frozen = dict(positions)
         return lambda record: matches(record, frozen)
 
-    def filter_batch(
-        self, columns: Mapping[str, Sequence[Any]], n_rows: int
-    ) -> list:
-        """Selection mask for one batch: a truthy/falsy entry per row.
-
-        ``columns`` maps every available field to its value vector (all
-        vectors ``n_rows`` long). The generic implementation zips only the
-        :meth:`fields_used` columns through the compiled closure, so
-        subclasses with accurate ``fields_used`` get batch evaluation for
-        free; range-shaped predicates override with per-column masks.
-        """
-        used = sorted(self.fields_used())
-        fn = self.compile({name: i for i, name in enumerate(used)})
-        if not used:
-            verdict = bool(fn(()))
-            return [verdict] * n_rows
-        vectors = [columns[name] for name in used]
-        return [fn(record) for record in zip(*vectors)]
-
     def filter_vector(
         self, columns: Mapping[str, Sequence[Any]], n_rows: int
     ):
         """Boolean ndarray selection bitmap, or ``None`` to fall back.
 
-        Must agree exactly with :meth:`filter_batch` on every batch it
-        accepts; the default declines so arbitrary user predicates keep
-        their per-row semantics (including evaluation-order side effects).
+        Must agree exactly with :meth:`compile` on every batch it accepts;
+        the default declines so arbitrary user predicates keep their
+        per-row semantics (including evaluation-order side effects).
         """
         return None
 
@@ -156,39 +137,35 @@ class Range(Predicate):
             return lambda record: lo <= record[i]
         return lambda record: lo <= record[i] <= hi
 
-    def filter_batch(
-        self, columns: Mapping[str, Sequence[Any]], n_rows: int
-    ) -> list:
-        try:
-            column = columns[self.field]
-        except KeyError:
-            raise QueryError(f"unknown predicate field {self.field!r}") from None
-        lo, hi = self.lo, self.hi
-        if lo == NEG_INF:
-            return [value <= hi for value in column]
-        if hi == POS_INF:
-            return [lo <= value for value in column]
-        return [lo <= value <= hi for value in column]
-
     def filter_vector(
         self, columns: Mapping[str, Sequence[Any]], n_rows: int
     ):
         arr = vector.as_ndarray(columns.get(self.field))
         if arr is None:
             return None
+        np = vector.numpy_module()
         lo, hi = self.lo, self.hi
-        if arr.dtype.kind == "i":
-            # Exact integer bounds: int64 vs float64 comparisons round
-            # above 2**53, so float bounds on int columns become the
-            # equivalent integer comparison instead of a cast.
-            if lo != NEG_INF and not isinstance(lo, int):
-                lo = math.ceil(lo)
-            if hi != POS_INF and not isinstance(hi, int):
-                hi = math.floor(hi)
-            if lo != NEG_INF and hi != POS_INF and lo > hi:
-                np = vector.numpy_module()
-                return np.zeros(arr.shape, dtype=bool)
         try:
+            if lo != lo or hi != hi:
+                # A NaN bound fails every comparison, as in the closure.
+                return np.zeros(arr.shape, dtype=bool)
+            if arr.dtype.kind == "i":
+                # Exact integer bounds: int64 vs float64 comparisons round
+                # above 2**53, so finite float bounds on int columns become
+                # the equivalent integer comparison instead of a cast.
+                if not isinstance(lo, int) and math.isfinite(lo):
+                    lo = math.ceil(lo)
+                if not isinstance(hi, int) and math.isfinite(hi):
+                    hi = math.floor(hi)
+                if lo > hi:
+                    return np.zeros(arr.shape, dtype=bool)
+            elif any(
+                isinstance(b, int) and abs(b) > _FLOAT_EXACT_INT
+                for b in (lo, hi)
+            ):
+                # Python compares floats with wide ints exactly; float64
+                # would round the bound first.
+                return None
             if lo == NEG_INF:
                 return arr <= hi
             if hi == POS_INF:
@@ -222,13 +199,6 @@ class Rect(Predicate):
     ) -> Callable[[Sequence[Any]], Any]:
         return _compile_junction(
             list(self._ranges.values()), positions, " and "
-        )
-
-    def filter_batch(
-        self, columns: Mapping[str, Sequence[Any]], n_rows: int
-    ) -> list:
-        return _mask_junction(
-            list(self._ranges.values()), columns, n_rows, all_of=True
         )
 
     def filter_vector(
@@ -278,11 +248,6 @@ class And(Predicate):
     ) -> Callable[[Sequence[Any]], Any]:
         return _compile_junction(list(self.parts), positions, " and ")
 
-    def filter_batch(
-        self, columns: Mapping[str, Sequence[Any]], n_rows: int
-    ) -> list:
-        return _mask_junction(list(self.parts), columns, n_rows, all_of=True)
-
     def filter_vector(
         self, columns: Mapping[str, Sequence[Any]], n_rows: int
     ):
@@ -325,11 +290,6 @@ class Or(Predicate):
     ) -> Callable[[Sequence[Any]], Any]:
         return _compile_junction(list(self.parts), positions, " or ")
 
-    def filter_batch(
-        self, columns: Mapping[str, Sequence[Any]], n_rows: int
-    ) -> list:
-        return _mask_junction(list(self.parts), columns, n_rows, all_of=False)
-
     def filter_vector(
         self, columns: Mapping[str, Sequence[Any]], n_rows: int
     ):
@@ -355,11 +315,6 @@ class Not(Predicate):
     ) -> Callable[[Sequence[Any]], Any]:
         inner = self.part.compile(positions)
         return lambda record: not inner(record)
-
-    def filter_batch(
-        self, columns: Mapping[str, Sequence[Any]], n_rows: int
-    ) -> list:
-        return [not kept for kept in self.part.filter_batch(columns, n_rows)]
 
     def filter_vector(
         self, columns: Mapping[str, Sequence[Any]], n_rows: int
@@ -526,23 +481,6 @@ def _compile_junction(
     return eval(  # noqa: S307 - source assembled from fixed templates
         f"lambda record: {joiner.join(terms)}", namespace
     )
-
-
-def _mask_junction(
-    parts: Sequence[Predicate],
-    columns: Mapping[str, Sequence[Any]],
-    n_rows: int,
-    all_of: bool,
-) -> list:
-    """Combine per-part selection masks column-wise (And/Rect/Or)."""
-    mask = parts[0].filter_batch(columns, n_rows)
-    for part in parts[1:]:
-        other = part.filter_batch(columns, n_rows)
-        if all_of:
-            mask = [a and b for a, b in zip(mask, other)]
-        else:
-            mask = [a or b for a, b in zip(mask, other)]
-    return mask
 
 
 def _vector_junction(

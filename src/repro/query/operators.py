@@ -16,13 +16,16 @@ index-vs-scan choice all happen inside the access method. Above it sit
 :class:`GroupByOp` (scalar accumulators, no member-row buffering),
 :class:`SortOp`, and :class:`LimitOp`.
 
-When the store's vectorized mode is on, columnar batches flow through the
-tree untransposed: filters evaluate selection bitmaps
-(:meth:`Predicate.filter_vector`) and defer the gather, projections
-reorder column vectors, joins extract keys from packed column slices, and
+Batches keep the orientation their layout produced: columnar layouts
+flow through the tree untransposed, ``rows(...)`` layouts as row tuples.
+Filters and projections share the scan's batch methods
+(:meth:`ColumnBatch.filter` evaluates a selection bitmap through
+:meth:`Predicate.filter_vector` and defers the gather, or runs the
+compiled closure; :meth:`ColumnBatch.project` reorders column vectors or
+gathers row tuples). Joins extract keys from packed column slices, and
 group-by reduces typed buffers with numpy when it is importable. Every
 vector path bails to the row-at-a-time code on anything it cannot
-reproduce bit-for-bit, so results are identical either way.
+reproduce bit-for-bit, so the answer never depends on the orientation.
 
 Null semantics follow SQL: join keys containing ``None`` never match, and
 ``count(field)`` / ``sum`` / ``avg`` / ``min`` / ``max`` skip ``None``
@@ -199,27 +202,17 @@ class TableScanOp(Operator):
 
     def batches(self) -> Iterator[ColumnBatch]:
         actual = 0
-        if getattr(self.table.store, "vectorized", True):
-            # Consume the access method's native ColumnBatch stream:
-            # columnar layouts arrive as typed vectors (plus any pending
-            # selection bitmap) and stay columnar through the plan tree.
-            for batch in self.table.scan_column_batches(
-                fieldlist=self.fieldlist,
-                predicate=self.predicate,
-                order=self.order,
-                limit=self.limit,
-            ):
-                actual += batch.n_rows
-                yield batch
-        else:
-            for rows in self.table.scan_batches(
-                fieldlist=self.fieldlist,
-                predicate=self.predicate,
-                order=self.order,
-                limit=self.limit,
-            ):
-                actual += len(rows)
-                yield ColumnBatch.from_rows(self.fields, rows)
+        # Consume the access method's native ColumnBatch stream: columnar
+        # layouts arrive as typed vectors (plus any pending selection
+        # bitmap) and stay columnar through the plan tree.
+        for batch in self.table.scan_column_batches(
+            fieldlist=self.fieldlist,
+            predicate=self.predicate,
+            order=self.order,
+            limit=self.limit,
+        ):
+            actual += batch.n_rows
+            yield batch
         # Completed scans report actual-vs-estimated cardinality into the
         # table's workload monitor (abandoned scans would compare a full
         # estimate against a partial count, so they stay silent).
@@ -323,28 +316,13 @@ class FilterOp(Operator):
         return repr(self.predicate)
 
     def batches(self) -> Iterator[ColumnBatch]:
-        # Columnar batches (vectorized scans flowing up through joins are
-        # still per-table; residual predicates see them directly above a
-        # scan) take the bitmap path: evaluate the whole-column predicate
-        # into a selection mask and defer the gather. Row-backed batches —
-        # and any predicate that declines to vectorize — fall back to the
-        # compiled per-row closure.
         positions = {name: i for i, name in enumerate(self.fields)}
         row_filter = self.predicate.compile(positions)
         predicate = self.predicate
         for batch in self.child.batches():
-            if batch.is_columnar:
-                bitmap = predicate.filter_vector(
-                    batch.column_map(), batch.n_rows
-                )
-                if bitmap is not None:
-                    selected = batch.select(bitmap)
-                    if selected.n_rows:
-                        yield selected
-                    continue
-            kept = list(filter(row_filter, batch.rows()))
-            if kept:
-                yield ColumnBatch.from_rows(self.fields, kept)
+            kept = batch.filter(predicate, row_filter)
+            if kept.n_rows:
+                yield kept
 
 
 class ProjectOp(Operator):
@@ -369,22 +347,9 @@ class ProjectOp(Operator):
         return str(list(self.fields))
 
     def batches(self) -> Iterator[ColumnBatch]:
-        idx = self._idx
-        if len(idx) == 1:
-            i = idx[0]
-            project: Callable[[list], list] = lambda rows: [
-                (row[i],) for row in rows
-            ]
-        else:
-            getter = _operator.itemgetter(*idx)
-            project = lambda rows: list(map(getter, rows))
+        idx, fields = self._idx, self.fields
         for batch in self.child.batches():
-            if batch.is_columnar:
-                # Reorder column vectors in place of transposing; any
-                # pending selection bitmap rides along unresolved.
-                yield batch.project_columns(idx, self.fields)
-                continue
-            yield ColumnBatch.from_rows(self.fields, project(batch.rows()))
+            yield batch.project(idx, fields)
 
 
 def _key_fn(idx: Sequence[int]) -> Callable[[tuple], Any]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 import sys
 from array import array
+from itertools import compress
 from typing import Any, Iterable, Sequence
 
 try:  # pragma: no cover - exercised via both CI legs
@@ -138,24 +139,13 @@ def concat(parts: list):
     return out
 
 
-def mask_count(mask) -> int:
-    """Number of selected rows in a boolean selection mask."""
-    if _numpy_mod is not None and isinstance(mask, _numpy_mod.ndarray):
-        return int(mask.sum())
-    return sum(mask)
-
-
 def apply_mask(vec, mask) -> list | Any:
-    """Rows of ``vec`` where ``mask`` is true. ndarray×ndarray uses fancy
-    indexing (stays typed); every other combination compresses to a list."""
-    np_mod = _numpy_mod
-    if np_mod is not None and isinstance(mask, np_mod.ndarray):
-        if isinstance(vec, np_mod.ndarray):
-            return vec[mask]
-        mask = mask.tolist()
-    if not isinstance(vec, list):
-        vec = vec.tolist()
-    return [v for v, keep in zip(vec, mask) if keep]
+    """Rows of ``vec`` where the boolean ndarray ``mask`` is true. ndarray
+    vectors use fancy indexing (and stay typed); other vectors compress
+    to a list."""
+    if isinstance(vec, _numpy_mod.ndarray):
+        return vec[mask]
+    return list(compress(to_list(vec), mask.tolist()))
 
 
 def as_ndarray(vec):

@@ -183,18 +183,13 @@ def random_query(rng: random.Random, scan_names: list[str]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_query_all_paths(
-    store: RodentStore, query: dict, predicate, vector_flip: bool = False
-) -> None:
+def run_query_all_paths(store: RodentStore, query: dict, predicate) -> None:
     """Assert batch ≡ reference ≡ compiled pipeline across the pruning
-    (zone-map + partition), vectorized-execution, and parallel-executor
-    toggles.
+    (zone-map + partition) and parallel-executor toggles.
 
-    ``store.vectorized`` rides the pruning loop so both engines —
-    selection bitmaps / typed-buffer operators vs the per-row closures —
-    run in every call; ``vector_flip`` (alternated per fuzz iteration)
-    inverts the pairing so all four pruning x vectorized combinations get
-    exercised across iterations without doubling the run count."""
+    Which batch evaluators run follows from the design: columnar layouts
+    take the selection-bitmap / typed-buffer paths, row layouts (and
+    overflow/pending rows) the compiled per-row closures."""
     table = store.table("T")
     # Parallelism only has a distinct code path on partitioned tables;
     # skip the redundant re-run otherwise.
@@ -203,7 +198,6 @@ def run_query_all_paths(
     for pruning in (True, False):
         store.zone_pruning = pruning
         store.partition_pruning = pruning
-        store.vectorized = pruning != vector_flip
         for workers in worker_settings:
             store.scan_workers = workers
             batch = [
@@ -251,11 +245,10 @@ def run_query_all_paths(
     store.zone_pruning = True
     store.partition_pruning = True
     store.scan_workers = 0
-    store.vectorized = True
     baseline = next(iter(results.values()))
     assert all(
         r == baseline for r in results.values()
-    ), "pruning/vectorized/parallel toggles changed query answers"
+    ), "pruning/parallel toggles changed query answers"
 
 
 def check_ground_truth(store: RodentStore, expected: list[tuple]) -> None:
@@ -303,9 +296,8 @@ def test_fuzz_differential_equivalence(iteration: int):
         (random_query(rng, scan_names), random_predicate(rng, names, domains))
         for _ in range(QUERIES_PER_SCENARIO)
     ]
-    vector_flip = bool(iteration % 2)
     for query, predicate in queries:
-        run_query_all_paths(store, query, predicate, vector_flip)
+        run_query_all_paths(store, query, predicate)
 
     # Mid-stream reorganization #1: an explicit relayout to a different
     # random design. Pending + overflow must be folded in, never lost.
@@ -316,7 +308,7 @@ def test_fuzz_differential_equivalence(iteration: int):
     scan_names = list(store.table("T").scan_schema().names())
     for query, predicate in queries:
         if _query_valid(query, predicate, scan_names):
-            run_query_all_paths(store, query, predicate, vector_flip)
+            run_query_all_paths(store, query, predicate)
 
     # Mid-stream reorganization #2: the adaptive loop itself (forced check
     # against the workload the queries above were observed into).
@@ -325,7 +317,7 @@ def test_fuzz_differential_equivalence(iteration: int):
     scan_names = list(store.table("T").scan_schema().names())
     for query, predicate in queries:
         if _query_valid(query, predicate, scan_names):
-            run_query_all_paths(store, query, predicate, vector_flip)
+            run_query_all_paths(store, query, predicate)
 
     # Deterministic teardown: joins any parallel-scan workers the
     # iteration spawned so threads never accumulate across fuzz cases.
@@ -375,7 +367,6 @@ def test_fuzz_levelled_equivalence(iteration: int):
 
     expected = random_records(rng, domains, rng.randint(60, 150))
     store.load("T", expected)
-    vector_flip = bool(iteration % 2)
 
     def reference_delete(predicate) -> list[tuple]:
         """Apply ``predicate`` to the model the way the store sees rows:
@@ -399,7 +390,7 @@ def test_fuzz_levelled_equivalence(iteration: int):
         query = random_query(rng, scan_names)
         predicate = random_predicate(rng, names, domains)
         if _query_valid(query, predicate, scan_names):
-            run_query_all_paths(store, query, predicate, vector_flip)
+            run_query_all_paths(store, query, predicate)
 
     for _ in range(rng.randint(4, 7)):
         op = rng.random()
@@ -433,12 +424,12 @@ def test_fuzz_levelled_equivalence(iteration: int):
         for _ in range(QUERIES_PER_SCENARIO)
     ]
     for query, predicate in queries:
-        run_query_all_paths(store, query, predicate, vector_flip)
+        run_query_all_paths(store, query, predicate)
     store.table("T").compact()
     assert store.table("T").run_count <= 1
     check_ground_truth(store, expected)
     for query, predicate in queries:
-        run_query_all_paths(store, query, predicate, vector_flip)
+        run_query_all_paths(store, query, predicate)
     store.close()
 
 
