@@ -1,11 +1,22 @@
-"""Catalog: logical schemas, physical plans, and stored layouts per table."""
+"""Catalog: logical schemas, physical plans, and stored layouts per table.
+
+Each :class:`CatalogEntry` holds its stored data as one list of
+:class:`Region` objects — main layout + overflow + pending memtable each.
+A flat table is one region, a partitioned table one region per partition,
+and a levelled table keeps its memtable as its one region next to the
+immutable :class:`LevelRun` manifest.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
-from repro.algebra.physical import PhysicalPlan
+from repro.algebra.physical import (
+    LAYOUT_LEVELLED,
+    LAYOUT_PARTITIONED,
+    PhysicalPlan,
+)
 from repro.engine.mvcc import EntryMVCC
 from repro.errors import CatalogError
 from repro.types.schema import Schema
@@ -18,19 +29,27 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 
 @dataclass
-class PartitionRegion:
-    """One horizontal partition: an independently rendered region.
+class Region:
+    """One independently rendered region of a table.
 
-    A partitioned table is a sequence of these — each with its own physical
-    plan (initially the table's per-partition template, free to diverge
-    through single-partition re-layouts), stored layout with zone synopses,
-    overflow regions, and pending insert buffer. ``key`` identifies the
-    partition (distinct value, range bucket index, or hash bucket);
-    ``lower``/``upper`` are the range bounds partition pruning intersects
-    with predicate ranges (``None`` = unbounded).
+    A region is the paper's "reorganize only new data" state in one
+    object: a main layout rendered under ``plan`` (with its zone
+    synopses), the row-major ``overflow`` regions flushed since the last
+    (re)organization, and the ``pending`` memtable of not-yet-flushed
+    inserts (stored-record shape) with its incrementally maintained
+    ``pending_zone``. Compaction folds overflow and pending back into the
+    main layout.
+
+    A flat table — and the memtable of a levelled table — is exactly one
+    region (``pid`` 0, ``key`` ``None``). A partitioned table is a sequence
+    of regions, one per partition, each free to diverge from the
+    partition template through single-partition re-layouts; ``key``
+    identifies the partition (distinct value, range bucket index, or hash
+    bucket) and ``lower``/``upper`` are the range bounds partition pruning
+    intersects with predicate ranges (``None`` = unbounded).
     """
 
-    pid: int
+    pid: int = 0
     key: object = None
     lower: float | None = None
     upper: float | None = None
@@ -47,6 +66,12 @@ class PartitionRegion:
         count += len(self.pending)
         return count
 
+    @property
+    def unfolded(self) -> bool:
+        """True while rows wait outside the main layout (overflow or
+        pending) — the rows a compaction would fold in."""
+        return bool(self.overflow or self.pending)
+
     def total_pages(self) -> int:
         pages = self.layout.total_pages() if self.layout is not None else 0
         pages += sum(o.total_pages() for o in self.overflow)
@@ -58,6 +83,38 @@ class PartitionRegion:
             hi = "+inf" if self.upper is None else f"{self.upper:g}"
             return f"[{lo}, {hi})"
         return repr(self.key)
+
+    def frozen(self) -> "Region":
+        """A snapshot copy: same fields, with ``overflow``/``pending``
+        frozen to tuples so a concurrent insert or flush into the live
+        region cannot bleed into a pinned scan."""
+        return Region(
+            self.pid,
+            self.key,
+            self.lower,
+            self.upper,
+            self.plan,
+            self.layout,
+            tuple(self.overflow),
+            tuple(self.pending),
+            self.pending_zone,
+        )
+
+
+def initial_regions(plan: PhysicalPlan | None) -> "list[Region]":
+    """The region list a table starts with under ``plan``.
+
+    Partitioned designs start with no regions (partitions appear as a
+    load or an insert routes rows to them); every other design is one
+    flat region. The flat region carries the table plan — except a
+    levelled table's memtable, which never renders (seals render runs
+    under the run template) and so has no plan of its own.
+    """
+    if plan is not None and plan.kind == LAYOUT_PARTITIONED:
+        return []
+    if plan is not None and plan.kind == LAYOUT_LEVELLED:
+        plan = None
+    return [Region(plan=plan)]
 
 
 @dataclass
@@ -94,29 +151,22 @@ class CatalogEntry:
     name: str
     logical_schema: Schema
     plan: PhysicalPlan | None = None
-    layout: "StoredLayout | None" = None
     stats: "TableStats | None" = None
-    # Row-major overflow regions holding data inserted after the last
-    # (re)organization — the paper's "reorganize only new data" state.
-    overflow: list = field(default_factory=list)
+    # The table's regions (see :class:`Region`): exactly one for a flat
+    # table or a levelled table's memtable, one per partition for a
+    # partitioned table (plan.kind == LAYOUT_PARTITIONED). Range-partitioned
+    # regions are kept sorted by bucket so the table scans in ascending key
+    # order. Kept on the catalog entry — not on Table handles — so every
+    # handle sees the same pending rows and a re-layout can fold them into
+    # the new representation.
+    regions: "list[Region]" = field(default_factory=lambda: [Region()])
     # Secondary access paths: field name -> FieldIndex, and
     # (x_field, y_field) -> SpatialIndex.
     indexes: dict = field(default_factory=dict)
     spatial_indexes: dict = field(default_factory=dict)
-    # Not-yet-flushed inserted records (stored-record shape) with an
-    # incrementally maintained zone map. Kept on the catalog entry — not on
-    # Table handles — so every handle sees the same pending rows and a
-    # re-layout can fold them into the new representation.
-    pending: list = field(default_factory=list)
-    pending_zone: "ZoneSynopsis | None" = None
     # Live workload observations feeding the adaptive loop (lazily created
     # by the AdaptiveController the first time the table is scanned).
     monitor: "WorkloadMonitor | None" = None
-    # Horizontal partitions of a partitioned table (plan.kind ==
-    # LAYOUT_PARTITIONED); each region owns its own plan/layout/overflow/
-    # pending. Range-partitioned regions are kept sorted by bucket so the
-    # table scans in ascending key order.
-    partitions: "list[PartitionRegion]" = field(default_factory=list)
     # True once a partitioned table has been bulk-loaded (an empty load
     # may legitimately create zero value-partitions).
     partitions_loaded: bool = False
@@ -142,8 +192,8 @@ class CatalogEntry:
     wa_bytes_written: int = 0
     wa_pages_compacted: int = 0
     wa_compactions: int = 0
-    # Transient key -> PartitionRegion index for O(1) insert routing;
-    # rebuilt lazily whenever it disagrees with ``partitions`` (never
+    # Transient key -> Region index for O(1) insert routing;
+    # rebuilt lazily whenever it disagrees with ``regions`` (never
     # persisted).
     region_index: dict = field(default_factory=dict, repr=False)
     # Corrupt units the most recent degraded-read scan skipped (event
@@ -152,7 +202,7 @@ class CatalogEntry:
     last_corruption_skipped: list = field(default_factory=list, repr=False)
     # Snapshot machinery: version counter, scan pins, deferred page frees.
     # ``mvcc.lock`` guards every mutation of the layout-bearing fields
-    # above (plan/layout/overflow/pending/indexes/partitions).
+    # above (plan/regions/indexes/runs).
     mvcc: EntryMVCC = field(default_factory=EntryMVCC, repr=False)
 
 

@@ -27,7 +27,13 @@ from repro.algebra.physical import (
     PhysicalPlan,
 )
 from repro.algebra.transforms import Evaluated, Evaluator
-from repro.engine.catalog import Catalog, CatalogEntry, LevelRun, PartitionRegion
+from repro.engine.catalog import (
+    Catalog,
+    CatalogEntry,
+    LevelRun,
+    Region,
+    initial_regions,
+)
 from repro.engine.cost import CostModel
 from repro.engine.stats import TableStats
 from repro.engine.table import (
@@ -523,18 +529,9 @@ class RodentStore:
         return report
 
     def _entry_layouts(self, entry: CatalogEntry) -> list[StoredLayout]:
-        layouts = []
-        if entry.layout is not None:
-            layouts.append(entry.layout)
-        layouts.extend(entry.overflow)
-        for run in entry.runs:
-            if run.layout is not None:
-                layouts.append(run.layout)
-        for region in entry.partitions:
-            if region.layout is not None:
-                layouts.append(region.layout)
-            layouts.extend(region.overflow)
-        return layouts
+        """Every stored layout ``entry`` references: each region's main
+        layout and overflow regions, then each levelled run."""
+        return _layouts_of(entry.regions, entry.runs)
 
     def _scrub_entry(self, entry: CatalogEntry, report: dict) -> None:
         """Cross-structure invariants for one table (best effort).
@@ -575,11 +572,9 @@ class RodentStore:
                 zones.extend(group)
             zones.extend(s.cell_zones)
             zones.extend(s.folded_zones)
-        for region in entry.partitions:
+        for region in entry.regions:
             if region.pending_zone is not None:
                 zones.append(region.pending_zone)
-        if entry.pending_zone is not None:
-            zones.append(entry.pending_zone)
         if not zones or not rows:
             return
         names = _scan_schema(entry.plan).names()
@@ -623,14 +618,14 @@ class RodentStore:
     def _scrub_partitions(
         self, entry: CatalogEntry, table: Table, report: dict
     ) -> None:
-        """Every row stored in a region must route back to that region."""
-        if not entry.partitions or entry.plan is None:
+        """Every row stored in a partition must route back to it."""
+        if not table.partitions:
             return
         try:
             router = self.router_for(entry)
         except RodentStoreError:
             return
-        for region in entry.partitions:
+        for region in entry.regions:
             try:
                 region_rows = table._region_rows(region)
             except RodentStoreError:
@@ -722,6 +717,7 @@ class RodentStore:
         with self.mutate() as m:
             entry = self.catalog.create(name, schema)
             entry.plan = self._interpreter().compile(expr)
+            entry.regions = initial_regions(entry.plan)
             # Log the (empty) catalog entry so a table created after the
             # last checkpoint exists again at recovery — otherwise its
             # replayed row inserts would have nowhere to land.
@@ -744,15 +740,11 @@ class RodentStore:
         entry = self.catalog.entry(name)
         with self.mutate(name) as m:
             with entry.mvcc.lock:
-                layouts: list[StoredLayout | None] = [entry.layout]
-                layouts.extend(entry.overflow)
-                layouts.extend(r.layout for r in entry.runs)
-                for region in entry.partitions:
-                    layouts.append(region.layout)
-                    layouts.extend(region.overflow)
                 # Regions keep their fields — a pinned scan may still be
                 # reading them; only the page frees are deferred.
-                entry.mvcc.retire(self._layout_freer(*layouts))
+                entry.mvcc.retire(
+                    self._layout_freer(*self._entry_layouts(entry))
+                )
             if entry.monitor is not None:
                 entry.monitor.forget_partitions([])
             self.catalog.drop(name)
@@ -806,69 +798,97 @@ class RodentStore:
     ) -> Table:
         """(Re)render ``entry`` under ``plan`` from logical ``records``.
 
-        The shared core of :meth:`load` and :meth:`relayout`. Rendering
-        happens *before* any entry state changes; the plan and the new
-        layout then swap in together under the entry's MVCC lock (a pinned
-        scan either sees the old plan+layout pair or the new one, never a
-        mismatch), and the superseded pages are retired, not freed — the
-        last draining reader frees them. The whole operation is one
+        The shared core of :meth:`load` and :meth:`relayout`: render the
+        new regions (one flat region, one per partition, or — levelled —
+        an empty memtable next to one bulk-loaded run), then swap them in
+        through :meth:`_install_design`. The whole operation is one
         transaction: the rendered pages and the new catalog image are
         WAL-logged at commit.
 
-        A plain (re)load keeps accumulated overflow regions, exactly like
-        the historical bulk-load path; ``reset_overflow=True`` (re-layouts)
-        folds them into ``records`` beforehand and retires them too.
+        A plain (re)load of a flat table keeps its accumulated overflow
+        regions, exactly like the historical bulk-load path;
+        ``reset_overflow=True`` (re-layouts) folds them into ``records``
+        beforehand and retires them too.
         """
         name = entry.name
         schema = entry.logical_schema
         with self.mutate(name) as m:
             coerced = [schema.coerce_record(r) for r in records]
             stats = TableStats.collect(schema, coerced)
+            runs: list[LevelRun] = []
             if plan.kind == LAYOUT_PARTITIONED:
-                table = self._load_partitioned(
-                    entry, plan, coerced, stats, m, reset_overflow
-                )
-                return table
-            if plan.kind == LAYOUT_LEVELLED:
-                return self._load_levelled(
-                    entry, plan, coerced, stats, m, reset_overflow
-                )
-            evaluated = self._evaluate(plan, {name: (coerced, schema)})
-            new_layout = self.renderer.render(plan, evaluated)
-            with entry.mvcc.lock:
-                retire: list[StoredLayout | None] = [entry.layout]
-                retire.extend(r.layout for r in entry.runs)
-                for region in entry.partitions:
-                    retire.append(region.layout)
-                    retire.extend(region.overflow)
-                if reset_overflow:
-                    retire.extend(entry.overflow)
-                    entry.overflow = []
-                entry.plan = plan
-                entry.layout = new_layout
-                entry.stats = stats
-                # A (re)load swaps the physical design wholesale: synopses
-                # were re-rendered above, and every derived structure
-                # describing the old layout — secondary/spatial indexes,
-                # the pending buffer and its zone — goes with it
-                # (re-layouts fold pending rows into ``records`` first).
-                entry.indexes.clear()
-                entry.spatial_indexes.clear()
-                entry.pending.clear()
-                entry.pending_zone = None
-                entry.partitions = []
-                entry.region_index.clear()
-                entry.partitions_loaded = False
-                entry.next_partition_id = 0
-                entry.runs = []
-                entry.level_tombstones = []
-                entry.mvcc.retire(self._layout_freer(*retire))
-                self._wa_note(entry, new_layout, ingest=True)
-            if entry.monitor is not None:
-                entry.monitor.forget_partitions([])
-            m.log_layout(new_layout)
-            m.touch(name)
+                regions = self._render_partitions(entry, plan, coerced)
+            elif plan.kind == LAYOUT_LEVELLED:
+                regions = initial_regions(plan)
+                runs = self._render_level_load(entry, plan, coerced)
+            else:
+                evaluated = self._evaluate(plan, {name: (coerced, schema)})
+                overflow = [] if reset_overflow else entry.regions[0].overflow
+                regions = [
+                    Region(
+                        plan=plan,
+                        layout=self.renderer.render(plan, evaluated),
+                        overflow=list(overflow),
+                    )
+                ]
+            self._install_design(entry, plan, stats, regions, runs, m)
             return Table(self, entry)
+
+    def _install_design(
+        self,
+        entry: CatalogEntry,
+        plan: PhysicalPlan,
+        stats: TableStats,
+        regions: list[Region],
+        runs: list[LevelRun],
+        m: _Mutation,
+    ) -> None:
+        """Swap a freshly rendered design into ``entry`` wholesale.
+
+        The plan, regions and runs change together under the entry's MVCC
+        lock (a pinned scan sees either the old design or the new one,
+        never a mismatch), and every derived structure describing the old
+        design — secondary/spatial indexes, the partition map, tombstones —
+        resets. Every page the old design referenced and the new one does
+        not is retired, not freed: the last draining reader frees it. The
+        new main layouts and runs are charged as ingest and logged.
+        """
+        rendered = [r.layout for r in regions] + [r.layout for r in runs]
+        rendered = [layout for layout in rendered if layout is not None]
+        kept = {id(layout) for layout in _layouts_of(regions, runs)}
+        with entry.mvcc.lock:
+            retired = [
+                layout
+                for layout in self._entry_layouts(entry)
+                if id(layout) not in kept
+            ]
+            entry.plan = plan
+            entry.stats = stats
+            entry.regions = regions
+            entry.region_index = {}
+            entry.partitions_loaded = plan.kind == LAYOUT_PARTITIONED
+            entry.next_partition_id = (
+                len(regions) if entry.partitions_loaded else 0
+            )
+            entry.indexes.clear()
+            entry.spatial_indexes.clear()
+            entry.runs = runs
+            entry.level_tombstones = []
+            # A bulk-loaded run takes sequence 0; the next seal gets 1.
+            entry.next_run_id = len(runs)
+            entry.next_run_seq = 1 if plan.kind == LAYOUT_LEVELLED else 0
+            entry.mvcc.retire(self._layout_freer(*retired))
+            for layout in rendered:
+                self._wa_note(entry, layout, ingest=True)
+        if entry.monitor is not None:
+            # A reload rebuilds the partition map from scratch and restarts
+            # pid allocation at 0, so skew recorded against the old regions
+            # must be dropped entirely — new regions reusing an old pid
+            # must not inherit its weight.
+            entry.monitor.forget_partitions([])
+        for layout in rendered:
+            m.log_layout(layout)
+        m.touch(entry.name)
 
     # -- horizontal partitions ---------------------------------------------
 
@@ -879,15 +899,12 @@ class RodentStore:
             entry.plan.partition, _scan_schema(entry.plan).names()
         )
 
-    def _load_partitioned(
+    def _render_partitions(
         self,
         entry: CatalogEntry,
         plan: PhysicalPlan,
         coerced: list[tuple],
-        stats: TableStats,
-        m: _Mutation,
-        reset_overflow: bool = False,
-    ) -> Table:
+    ) -> list[Region]:
         """Render one region per partition (the partitioned bulk load).
 
         The partition key is evaluated on the *stored-record shape* — the
@@ -896,141 +913,64 @@ class RodentStore:
         eagerly (empty ones included: the partition map is part of the
         physical design); value partitions appear in first-seen key order,
         which keeps scan order identical to the pre-partitioned grouped
-        rendering of ``partition_C(N)``.
-
-        The new region list is built privately and swapped into the entry
-        in one step under the MVCC lock, with the superseded regions'
-        pages retired for the last pinned reader to free.
+        rendering of ``partition_C(N)``. The region list is built
+        privately; the caller swaps it in.
         """
         table = Table(self, entry)
         rows = table._apply_record_pipeline(coerced, plan=plan)
         router = PartitionRouter(
             plan.partition, _scan_schema(plan).names()
         )
-        new_regions: list[PartitionRegion] = []
+        regions: list[Region] = []
         lookup: dict = {}
         next_pid = 0
         for locator, part_rows in router.split(rows):
             region, next_pid = _find_or_create_region(
-                plan, new_regions, lookup, next_pid, locator
+                plan, regions, lookup, next_pid, locator
             )
             assert region.plan is not None
             region.layout = self._render_region(
                 plan, region.plan, part_rows
             )
-        with entry.mvcc.lock:
-            retire: list[StoredLayout | None] = [entry.layout]
-            retire.extend(r.layout for r in entry.runs)
-            for region in entry.partitions:
-                retire.append(region.layout)
-                retire.extend(region.overflow)
-            if reset_overflow:
-                retire.extend(entry.overflow)
-                entry.overflow = []
-            entry.plan = plan
-            entry.layout = None
-            entry.stats = stats
-            entry.partitions = new_regions
-            entry.region_index = lookup
-            entry.next_partition_id = next_pid
-            entry.partitions_loaded = True
-            entry.indexes.clear()
-            entry.spatial_indexes.clear()
-            entry.pending.clear()
-            entry.pending_zone = None
-            entry.runs = []
-            entry.level_tombstones = []
-            entry.mvcc.retire(self._layout_freer(*retire))
-            for region in new_regions:
-                self._wa_note(entry, region.layout, ingest=True)
-        if entry.monitor is not None:
-            # A reload rebuilds the partition map from scratch and restarts
-            # pid allocation at 0, so skew recorded against the old regions
-            # must be dropped entirely — new regions reusing an old pid
-            # must not inherit its weight.
-            entry.monitor.forget_partitions([])
-        for region in new_regions:
-            m.log_layout(region.layout)
-        m.touch(entry.name)
-        return Table(self, entry)
+        return regions
 
-    def _load_levelled(
+    def _render_level_load(
         self,
         entry: CatalogEntry,
         plan: PhysicalPlan,
         coerced: list[tuple],
-        stats: TableStats,
-        m: _Mutation,
-        reset_overflow: bool = False,
-    ) -> Table:
+    ) -> list[LevelRun]:
         """Bulk-load a levelled table: render the records as ONE run.
 
         A bulk load is already "fully compacted" — the run lands at its
-        size class directly and the pending buffer starts empty. Keyed
-        tables dedup to last-writer-wins first, exactly like a seal. The
-        sequence space restarts (no tombstones survive a reload).
+        size class directly and the memtable starts empty. Keyed tables
+        dedup to last-writer-wins first, exactly like a seal. The sequence
+        space restarts (no tombstones survive a reload).
         """
         assert plan.levels is not None
         spec = plan.levels
         table = Table(self, entry)
         rows = table._apply_record_pipeline(coerced, plan=plan)
-        if spec.key is not None and rows:
+        if not rows:
+            return []
+        if spec.key is not None:
             resolver = _LevelResolver(spec, _scan_schema(plan).names(), [])
             rows = resolver.resolve_pending([tuple(r) for r in rows])
         run_plan = plan.level_plans[0]
-        new_layout = (
-            self._render_region(plan, run_plan, rows) if rows else None
-        )
-        with entry.mvcc.lock:
-            retire: list[StoredLayout | None] = [entry.layout]
-            retire.extend(r.layout for r in entry.runs)
-            for region in entry.partitions:
-                retire.append(region.layout)
-                retire.extend(region.overflow)
-            if reset_overflow:
-                retire.extend(entry.overflow)
-                entry.overflow = []
-            entry.plan = plan
-            entry.layout = None
-            entry.stats = stats
-            entry.indexes.clear()
-            entry.spatial_indexes.clear()
-            entry.pending.clear()
-            entry.pending_zone = None
-            entry.partitions = []
-            entry.region_index.clear()
-            entry.partitions_loaded = False
-            entry.next_partition_id = 0
-            entry.level_tombstones = []
-            entry.next_run_id = 0
-            entry.next_run_seq = 1
-            entry.runs = []
-            if new_layout is not None:
-                entry.runs.append(
-                    LevelRun(
-                        rid=entry.next_run_id,
-                        level=spec.level_of(
-                            len(rows), self.level_seal_rows
-                        ),
-                        min_seq=0,
-                        max_seq=0,
-                        plan=run_plan,
-                        layout=new_layout,
-                    )
-                )
-                entry.next_run_id += 1
-            entry.mvcc.retire(self._layout_freer(*retire))
-            self._wa_note(entry, new_layout, ingest=True)
-        if entry.monitor is not None:
-            entry.monitor.forget_partitions([])
-        if new_layout is not None:
-            m.log_layout(new_layout)
-        m.touch(entry.name)
-        return Table(self, entry)
+        return [
+            LevelRun(
+                rid=0,
+                level=spec.level_of(len(rows), self.level_seal_rows),
+                min_seq=0,
+                max_seq=0,
+                plan=run_plan,
+                layout=self._render_region(plan, run_plan, rows),
+            )
+        ]
 
     def _region_for(
         self, entry: CatalogEntry, locator: Locator
-    ) -> PartitionRegion:
+    ) -> Region:
         """Find or create the region ``locator`` addresses.
 
         Lookups go through a per-entry ``key -> region`` index (rebuilt
@@ -1042,12 +982,12 @@ class RodentStore:
         """
         assert entry.plan is not None and entry.plan.partition is not None
         lookup = entry.region_index
-        if len(lookup) != len(entry.partitions):
+        if len(lookup) != len(entry.regions):
             lookup.clear()
-            lookup.update({r.key: r for r in entry.partitions})
+            lookup.update({r.key: r for r in entry.regions})
         region, entry.next_partition_id = _find_or_create_region(
             entry.plan,
-            entry.partitions,
+            entry.regions,
             lookup,
             entry.next_partition_id,
             locator,
@@ -1097,7 +1037,7 @@ class RodentStore:
         if entry.plan is None or entry.plan.kind != LAYOUT_PARTITIONED:
             raise StorageError(f"table {name!r} is not partitioned")
         region = next(
-            (r for r in entry.partitions if r.pid == pid), None
+            (r for r in entry.regions if r.pid == pid), None
         )
         if region is None:
             raise StorageError(f"table {name!r} has no partition {pid}")
@@ -1122,18 +1062,7 @@ class RodentStore:
             # Render first: a failed render must leave the region untouched
             # (no plan/layout mismatch, no lost overflow/pending rows).
             new_layout = self._render_region(entry.plan, new_plan, rows)
-            with entry.mvcc.lock:
-                old_layout, old_overflow = region.layout, region.overflow
-                region.plan = new_plan
-                region.layout = new_layout
-                region.overflow = []
-                region.pending = []
-                region.pending_zone = None
-                entry.mvcc.retire(
-                    self._layout_freer(old_layout, *old_overflow)
-                )
-                self._wa_note(entry, new_layout)
-            m.log_layout(new_layout)
+            self._swap_region(entry, region, new_layout, m, plan=new_plan)
             m.touch(name)
         return table
 
@@ -1197,9 +1126,9 @@ class RodentStore:
     def compact_table(self, name: str) -> None:
         """Fold overflow regions back into the main representation.
 
-        Partitioned tables compact one region at a time: only partitions
-        that actually accumulated overflow/pending rows are re-rendered,
-        the rest are untouched.
+        One region at a time: only regions that actually accumulated
+        overflow/pending rows are re-rendered, the rest are untouched — a
+        freshly loaded table compacts to a no-op.
         """
         entry = self.catalog.entry(name)
         if entry.plan is not None and entry.plan.kind == LAYOUT_LEVELLED:
@@ -1207,89 +1136,59 @@ class RodentStore:
             # into one — the LSM equivalent of folding overflow back in.
             self.compact_levels(name, full=True)
             return
-        if entry.plan is not None and entry.plan.kind == LAYOUT_PARTITIONED:
-            if not entry.partitions_loaded:
-                raise StorageError(f"table {name!r} is not loaded")
-            table = Table(self, entry)
-            with self.mutate(name) as m:
-                compacted = False
-                for region in entry.partitions:
-                    if not region.overflow and not region.pending:
-                        continue
-                    with self.adaptivity.pause():
-                        rows = table._region_rows(region)
-                    assert region.plan is not None
-                    # Render before mutating: a failed render leaves the
-                    # region (and its pending rows) exactly as they were.
-                    new_layout = self._render_region(
-                        entry.plan, region.plan, rows
-                    )
-                    with entry.mvcc.lock:
-                        old_layout = region.layout
-                        old_overflow = region.overflow
-                        region.layout = new_layout
-                        region.overflow = []
-                        region.pending = []
-                        region.pending_zone = None
-                        entry.mvcc.retire(
-                            self._layout_freer(old_layout, *old_overflow)
-                        )
-                        self._wa_note(entry, new_layout, compaction=True)
-                    m.log_layout(new_layout)
-                    compacted = True
-                if compacted:
-                    m.touch(name)
-            return
-        if entry.plan is None or entry.layout is None:
-            raise StorageError(f"table {name!r} is not loaded")
         table = Table(self, entry)
         with self.mutate(name) as m:
-            with self.adaptivity.pause():  # maintenance scan, not workload
-                stored = list(table.scan())
-            new_layout = self._rewrite_stored(entry, stored, m)
-            with entry.mvcc.lock:
-                entry.wa_pages_compacted += new_layout.total_pages()
-                entry.wa_compactions += 1
+            compacted = False
+            for region in table._loaded_regions():
+                if not region.unfolded:
+                    continue
+                with self.adaptivity.pause():  # maintenance, not workload
+                    rows = table._region_rows(region)
+                # Render before mutating: a failed render leaves the
+                # region (and its pending rows) exactly as they were.
+                new_layout = self._render_region(
+                    entry.plan, region.plan, rows
+                )
+                self._swap_region(
+                    entry, region, new_layout, m, compaction=True
+                )
+                compacted = True
+            if compacted:
+                m.touch(name)
 
-    def _rewrite_stored(
+    def _swap_region(
         self,
         entry: CatalogEntry,
-        stored: list[tuple],
+        region: Region,
+        layout: StoredLayout,
         m: _Mutation,
-    ) -> StoredLayout:
-        """Re-render an unpartitioned table from stored-shape rows.
+        plan: PhysicalPlan | None = None,
+        compaction: bool = False,
+    ) -> None:
+        """Swap ``layout`` in as ``region``'s main layout — the commit
+        step shared by compaction, delete/update and partition re-layout.
 
-        The copy-on-write rewrite core shared by :meth:`compact_table` and
-        ``Table.delete``/``Table.update``: render first, swap under the
-        MVCC lock, retire the superseded layout + overflow, log the new
-        pages and catalog image at commit. ``stored`` already folds the
-        pending rows in (it comes from a full scan).
+        ``layout`` already holds every row of the region (overflow and
+        pending folded in), so under the MVCC lock the region's overflow
+        and pending clear, its plan changes when ``plan`` is given, the
+        table's secondary indexes go (they address the old positions),
+        and the superseded pages are retired for the last pinned reader to
+        free. The render is charged to the write-amplification ledger and
+        its pages are logged at commit.
         """
-        assert entry.plan is not None
-        table = Table(self, entry)
-        names = table.scan_schema().names()
-        residual = structural_residual(
-            entry.plan.expr, "__stored__", names
-        )
-        evaluator = Evaluator({"__stored__": (stored, tuple(names))})
-        evaluated = evaluator.evaluate(residual)
-        new_layout = self.renderer.render(entry.plan, evaluated)
         with entry.mvcc.lock:
-            old_layout = entry.layout
-            old_overflow = entry.overflow
-            entry.layout = new_layout
-            entry.overflow = []
+            superseded = [region.layout, *region.overflow]
+            if plan is not None:
+                region.plan = plan
+            region.layout = layout
+            region.overflow = []
+            region.pending = []
+            region.pending_zone = None
             entry.indexes.clear()
             entry.spatial_indexes.clear()
-            entry.pending.clear()
-            entry.pending_zone = None
-            entry.mvcc.retire(
-                self._layout_freer(old_layout, *old_overflow)
-            )
-            self._wa_note(entry, new_layout)
-        m.log_layout(new_layout)
-        m.touch(entry.name)
-        return new_layout
+            entry.mvcc.retire(self._layout_freer(*superseded))
+            self._wa_note(entry, layout, compaction=compaction)
+        m.log_layout(layout)
 
     # -- levelled (LSM) storage ---------------------------------------------
 
@@ -1306,7 +1205,7 @@ class RodentStore:
         plan = entry.plan
         if plan is None or plan.kind != LAYOUT_LEVELLED or self._closed:
             return
-        if len(entry.pending) >= self.level_seal_rows:
+        if len(entry.regions[0].pending) >= self.level_seal_rows:
             self.seal_level_run(name)
         assert plan.levels is not None
         counts: dict[int, int] = {}
@@ -1353,7 +1252,8 @@ class RodentStore:
             raise StorageError(f"table {name!r} is not levelled")
         assert plan.levels is not None
         with self.mutate(name) as m:
-            rows = [tuple(r) for r in entry.pending]
+            memtable = entry.regions[0]
+            rows = [tuple(r) for r in memtable.pending]
             if not rows:
                 return None
             if plan.levels.key is not None:
@@ -1377,8 +1277,8 @@ class RodentStore:
                     )
                 )
                 entry.next_run_id += 1
-                entry.pending.clear()
-                entry.pending_zone = None
+                memtable.pending = []
+                memtable.pending_zone = None
                 self._wa_note(entry, layout, ingest=True)
             m.log_layout(layout)
             m.touch(name)
@@ -1413,7 +1313,7 @@ class RodentStore:
                 report["relayout"] = True
             if full:
                 sources = list(entry.runs)
-                if sources or entry.pending:
+                if sources or entry.regions[0].pending:
                     self._merge_runs_once(
                         entry, plan, sources, m,
                         target_level=None, include_pending=True,
@@ -1483,7 +1383,9 @@ class RodentStore:
             # Pending is the freshest segment: resolve it first so (keyed)
             # its keys shadow older copies in the sources. Tombstones never
             # apply to pending rows — they postdate every tombstone.
-            pending_rows = resolver.resolve_pending(list(entry.pending))
+            pending_rows = resolver.resolve_pending(
+                list(entry.regions[0].pending)
+            )
         survivors: list[list[tuple]] = []
         for run in sorted(sources, key=lambda r: r.max_seq, reverse=True):
             resolver.enter_run(run)
@@ -1551,8 +1453,8 @@ class RodentStore:
                 if any(r.max_seq < t[0] for r in remaining)
             ]
             if include_pending:
-                entry.pending.clear()
-                entry.pending_zone = None
+                entry.regions[0].pending = []
+                entry.regions[0].pending_zone = None
             entry.plan = plan
             entry.mvcc.retire(
                 self._layout_freer(*(r.layout for r in sources))
@@ -1710,7 +1612,7 @@ class RodentStore:
                 info.update(
                     {
                         "partitioned": True,
-                        "partition_count": len(entry.partitions),
+                        "partition_count": len(entry.regions),
                         "partition_scans": entry.partition_scans,
                         "partitions_pruned": entry.partitions_pruned_total,
                         "partitions": [
@@ -1725,7 +1627,7 @@ class RodentStore:
                                 "overflow_regions": len(region.overflow),
                                 "pending_rows": len(region.pending),
                             }
-                            for region in entry.partitions
+                            for region in entry.regions
                         ],
                     }
                 )
@@ -1742,7 +1644,7 @@ class RodentStore:
                         "levels": {
                             str(lvl): levels[lvl] for lvl in sorted(levels)
                         },
-                        "pending_rows": len(entry.pending),
+                        "pending_rows": len(entry.regions[0].pending),
                         "tombstones": len(entry.level_tombstones),
                         "runs": [
                             {
@@ -1826,14 +1728,8 @@ class RodentStore:
         its true I/O.
         """
         for entry in self.catalog:
-            if entry.layout is not None:
-                entry.layout.clear_caches()
-            for run in entry.runs:
-                if run.layout is not None:
-                    run.layout.clear_caches()
-            for region in entry.partitions:
-                if region.layout is not None:
-                    region.layout.clear_caches()
+            for layout in self._entry_layouts(entry):
+                layout.clear_caches()
         self.pool.clear()
         self.disk.reset_head()
         with self.disk.measure() as io:
@@ -1843,11 +1739,11 @@ class RodentStore:
 
 def _find_or_create_region(
     plan: PhysicalPlan,
-    partitions: list[PartitionRegion],
+    partitions: list[Region],
     lookup: dict,
     next_pid: int,
     locator: Locator,
-) -> tuple[PartitionRegion, int]:
+) -> tuple[Region, int]:
     """Find ``locator``'s region in ``partitions`` or create it.
 
     Pure list/dict manipulation shared by live routing
@@ -1861,7 +1757,7 @@ def _find_or_create_region(
     if found is not None:
         return found, next_pid
     template = plan.partition_plans[0]
-    region = PartitionRegion(
+    region = Region(
         pid=next_pid,
         key=locator.key,
         lower=locator.lower,
@@ -1880,3 +1776,17 @@ def _find_or_create_region(
         partitions.append(region)
     lookup[region.key] = region
     return region, next_pid
+
+
+def _layouts_of(
+    regions: Sequence[Region], runs: Sequence[LevelRun]
+) -> list[StoredLayout]:
+    """Every stored layout of ``regions`` (main layout, then overflow)
+    and ``runs``."""
+    layouts: list[StoredLayout] = []
+    for region in regions:
+        if region.layout is not None:
+            layouts.append(region.layout)
+        layouts.extend(region.overflow)
+    layouts.extend(run.layout for run in runs if run.layout is not None)
+    return layouts

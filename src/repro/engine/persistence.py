@@ -7,6 +7,14 @@ chunk maps) — as JSON. Reopening compiles each expression back into a
 physical plan through the normal interpreter path, so the stored layout
 metadata is always interpreted against a freshly type-checked plan.
 
+A table's data is one list of regions (main layout + overflow + pending
+rows each), and one region (de)serializer serves every kind of table: a
+flat table's single region (or a levelled table's memtable) sits at the
+top level of its entry dict (``layout`` / ``overflow`` / ``pending``), a
+partitioned table's regions under ``partitions``. That is exactly the
+``FORMAT_VERSION`` 1 layout, so older catalogs and WAL catalog images
+open unchanged.
+
 Secondary indexes are rebuilt on demand rather than persisted (they are
 derived data; `Table.create_index` reconstructs them from the base layout).
 """
@@ -17,7 +25,7 @@ import json
 import zlib
 from typing import TYPE_CHECKING, Any
 
-from repro.algebra.physical import PhysicalPlan
+from repro.algebra.physical import LAYOUT_PARTITIONED, PhysicalPlan
 from repro.engine.stats import FieldStats, TableStats
 from repro.engine.synopsis import FieldZone, LayoutSynopsis, ZoneSynopsis
 from repro.errors import CatalogError, CorruptCatalogError
@@ -227,6 +235,9 @@ def stats_from_dict(data: dict) -> TableStats:
 
 
 def _region_to_dict(region) -> dict:
+    """Serialize one :class:`~repro.engine.catalog.Region`. A flat table
+    stores its region's ``layout``/``overflow``/``pending`` at the top
+    level of the entry, a partitioned table one dict per partition."""
     return {
         "pid": region.pid,
         "key": region.key,
@@ -252,6 +263,11 @@ def _run_to_dict(run) -> dict:
 
 def entry_to_dict(entry) -> dict:
     """Serialize one catalog entry (schema, design, layout metadata)."""
+    partitions = [_region_to_dict(r) for r in entry.regions]
+    if _is_partitioned(entry):
+        flat = {"layout": None, "overflow": [], "pending": []}
+    else:
+        flat, partitions = partitions[0], []
     return {
         "name": entry.name,
         "schema": [
@@ -259,14 +275,14 @@ def entry_to_dict(entry) -> dict:
             for f in entry.logical_schema.fields
         ],
         "expr": entry.plan.expr.to_text() if entry.plan else None,
-        "layout": layout_to_dict(entry.layout) if entry.layout else None,
-        "overflow": [layout_to_dict(o) for o in entry.overflow],
+        "layout": flat["layout"],
+        "overflow": flat["overflow"],
         "stats": stats_to_dict(entry.stats) if entry.stats else None,
-        "pending": [list(r) for r in entry.pending],
+        "pending": flat["pending"],
         "monitor": entry.monitor.to_dict()
         if entry.monitor is not None
         else None,
-        "partitions": [_region_to_dict(r) for r in entry.partitions],
+        "partitions": partitions,
         "partitions_loaded": entry.partitions_loaded,
         "next_partition_id": entry.next_partition_id,
         "partition_scans": entry.partition_scans,
@@ -394,6 +410,7 @@ def apply_entry_dict(store: "RodentStore", t: dict) -> None:
     from repro.algebra.interpreter import AlgebraInterpreter
     from repro.algebra.physical import LAYOUT_ROWS, PhysicalPlan
     from repro.algebra import ast
+    from repro.engine.catalog import LevelRun, initial_regions
 
     if not store.catalog.has(t["name"]):
         store.catalog.create(t["name"], Schema.of(*t["schema"]))
@@ -402,67 +419,26 @@ def apply_entry_dict(store: "RodentStore", t: dict) -> None:
     entry.plan = (
         interpreter.compile(t["expr"]) if t["expr"] is not None else None
     )
-    entry.layout = (
-        layout_from_dict(t["layout"], entry.plan)
-        if t["layout"] is not None
-        else None
-    )
     overflow_plan = PhysicalPlan(
         expr=ast.TableRef("__overflow__"),
         kind=LAYOUT_ROWS,
         schema=_scan_schema_of(entry),
     )
-    entry.overflow = [
-        layout_from_dict(o, overflow_plan) for o in t.get("overflow", [])
-    ]
     if t.get("stats"):
         entry.stats = stats_from_dict(t["stats"])
-    pending = [tuple(r) for r in t.get("pending", [])]
-    entry.pending = pending
-    entry.pending_zone = None
-    if pending:
-        # The pending zone map is derived data: rebuild it from the
-        # restored rows so pruned scans keep skipping the buffer.
-        zone = ZoneSynopsis()
-        zone.update(_scan_schema_of(entry).names(), pending)
-        entry.pending_zone = zone
     if t.get("monitor"):
         from repro.optimizer.monitor import WorkloadMonitor
 
         entry.monitor = WorkloadMonitor.from_dict(t["monitor"])
-    if t.get("partitions") or t.get("partitions_loaded"):
-        from repro.engine.catalog import PartitionRegion
-
-        scan_schema = _scan_schema_of(entry)
-        regions = []
-        for r in t.get("partitions", []):
-            region_plan = (
-                interpreter.compile(r["expr"])
-                if r.get("expr")
-                else None
+    if _is_partitioned(entry):
+        regions = [
+            _region_from_dict(
+                r,
+                interpreter.compile(r["expr"]) if r.get("expr") else None,
+                overflow_plan,
             )
-            region = PartitionRegion(
-                pid=r["pid"],
-                key=r.get("key"),
-                lower=r.get("lower"),
-                upper=r.get("upper"),
-                plan=region_plan,
-                layout=layout_from_dict(r["layout"], region_plan)
-                if r.get("layout")
-                else None,
-                overflow=[
-                    layout_from_dict(o, overflow_plan)
-                    for o in r.get("overflow", [])
-                ],
-                pending=[tuple(row) for row in r.get("pending", [])],
-            )
-            if region.pending:
-                zone = ZoneSynopsis()
-                zone.update(scan_schema.names(), region.pending)
-                region.pending_zone = zone
-            regions.append(region)
-        entry.partitions = regions
-        entry.region_index = {}
+            for r in t.get("partitions", [])
+        ]
         entry.partitions_loaded = bool(
             t.get("partitions_loaded", bool(regions))
         )
@@ -470,14 +446,17 @@ def apply_entry_dict(store: "RodentStore", t: dict) -> None:
             "next_partition_id",
             max((r.pid for r in regions), default=-1) + 1,
         )
-        entry.partition_scans = t.get("partition_scans", 0)
-        entry.partitions_pruned_total = t.get("partitions_pruned", 0)
     else:
-        entry.partitions = []
-        entry.region_index = {}
+        # The flat region (or a levelled table's memtable) lives at the
+        # top level of the entry dict.
+        (flat,) = initial_regions(entry.plan)
+        regions = [_region_from_dict(t, flat.plan, overflow_plan)]
         entry.partitions_loaded = False
-    from repro.engine.catalog import LevelRun
-
+        entry.next_partition_id = 0
+    entry.regions = regions
+    entry.region_index = {}
+    entry.partition_scans = t.get("partition_scans", 0)
+    entry.partitions_pruned_total = t.get("partitions_pruned", 0)
     runs = []
     for r in t.get("runs", []):
         run_plan = (
@@ -523,6 +502,40 @@ def apply_entry_dict(store: "RodentStore", t: dict) -> None:
     entry.wa_bytes_written = t.get("wa_bytes_written", 0)
     entry.wa_pages_compacted = t.get("wa_pages_compacted", 0)
     entry.wa_compactions = t.get("wa_compactions", 0)
+
+
+def _region_from_dict(
+    r: dict, plan: PhysicalPlan | None, overflow_plan: PhysicalPlan
+) -> "Region":
+    """Restore one region from :func:`_region_to_dict` output (or from
+    the top level of a flat table's entry dict, which carries no
+    pid/key/bounds). The pending zone map is derived data: it is rebuilt
+    from the restored rows so pruned scans keep skipping the buffer."""
+    from repro.engine.catalog import Region
+
+    region = Region(
+        pid=r.get("pid", 0),
+        key=r.get("key"),
+        lower=r.get("lower"),
+        upper=r.get("upper"),
+        plan=plan,
+        layout=layout_from_dict(r["layout"], plan)
+        if r.get("layout")
+        else None,
+        overflow=[
+            layout_from_dict(o, overflow_plan) for o in r.get("overflow", [])
+        ],
+        pending=[tuple(row) for row in r.get("pending", [])],
+    )
+    if region.pending:
+        zone = ZoneSynopsis()
+        zone.update(overflow_plan.schema.names(), region.pending)
+        region.pending_zone = zone
+    return region
+
+
+def _is_partitioned(entry) -> bool:
+    return entry.plan is not None and entry.plan.kind == LAYOUT_PARTITIONED
 
 
 def _scan_schema_of(entry) -> Schema:

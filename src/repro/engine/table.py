@@ -17,9 +17,12 @@ positionally), nested attributes are un-nested by merging with the parent
 tuple, and when the requested order differs from the stored order the data is
 buffered and re-sorted on the fly.
 
-Inserted records accumulate in row-major *overflow regions* (the "reorganize
-only new data" state of §5); scans transparently merge the main layout with
-the overflow, and :meth:`Table.compact` folds the overflow back into the main
+A table's data is a list of :class:`~repro.engine.catalog.Region` objects —
+one for a flat table, one per partition for a partitioned table. Inserted
+records accumulate in a region's pending memtable and then in row-major
+*overflow regions* (the "reorganize only new data" state of §5); scans
+transparently merge each region's main layout with its overflow and pending
+rows, and :meth:`Table.compact` folds them back into the main
 representation.
 
 Scans execute **batch-at-a-time** internally while keeping the paper's
@@ -63,7 +66,7 @@ from repro.algebra.transforms import (
     undelta_records,
 )
 from repro.engine import synopsis as zonemaps
-from repro.engine.catalog import CatalogEntry
+from repro.engine.catalog import CatalogEntry, Region
 from repro.engine.cost import CostEstimate, CostModel, estimate
 from repro.errors import CorruptPageError, QueryError, StorageError
 from repro.layout.renderer import (
@@ -184,28 +187,15 @@ class Table:
         return view
 
     @property
-    def _pending(self):
-        """Not-yet-flushed inserts. Lives on the catalog entry — shared by
-        every Table handle and preserved across re-layouts (a relayout
-        recovers them through the scan path before rendering)."""
+    def _regions(self) -> list[Region]:
+        """The table's regions visible to this handle: the live list, or
+        the snapshot's frozen copies for a pinned scan. Regions live on the
+        catalog entry — shared by every Table handle — so pending inserts
+        survive re-layouts (a relayout recovers them through the scan
+        path before rendering)."""
         if self._snap is not None:
-            return self._snap.pending
-        return self._entry.pending
-
-    @property
-    def _pending_zone(self) -> zonemaps.ZoneSynopsis | None:
-        """Incrementally maintained zone map over the pending buffer, so
-        pruned scans can skip the pending batch without touching it."""
-        if self._snap is not None:
-            return self._snap.pending_zone
-        return self._entry.pending_zone
-
-    @property
-    def _overflow(self):
-        """Overflow regions visible to this handle (snapshot or live)."""
-        if self._snap is not None:
-            return self._snap.overflow
-        return self._entry.overflow
+            return self._snap.regions
+        return self._entry.regions
 
     @property
     def _indexes(self) -> dict:
@@ -243,9 +233,8 @@ class Table:
 
     @property
     def layout(self) -> StoredLayout:
-        layout = (
-            self._snap.layout if self._snap is not None else self._entry.layout
-        )
+        """The main layout of an unpartitioned table."""
+        layout = None if self.is_partitioned else self._regions[0].layout
         if layout is None:
             raise StorageError(f"table {self.name!r} has not been loaded yet")
         return layout
@@ -261,9 +250,7 @@ class Table:
             # with the first seal rendering run 0; there is no separate
             # bulk-load gate.
             return True
-        if self._snap is not None:
-            return self._snap.layout is not None
-        return self._entry.layout is not None
+        return self._regions[0].layout is not None
 
     # -- horizontal partitions ---------------------------------------------
 
@@ -273,29 +260,23 @@ class Table:
         return plan is not None and plan.kind == LAYOUT_PARTITIONED
 
     @property
-    def partitions(self):
-        """The table's :class:`~repro.engine.catalog.PartitionRegion` list
-        (empty for unpartitioned tables; region views for pinned scans)."""
-        if self._snap is not None:
-            return self._snap.partitions
-        return self._entry.partitions
+    def partitions(self) -> list[Region]:
+        """The partition :class:`~repro.engine.catalog.Region` list (empty
+        for unpartitioned tables; frozen copies for pinned scans)."""
+        return self._regions if self.is_partitioned else []
 
     @property
     def partition_count(self) -> int:
         return len(self.partitions)
 
-    def _require_partitions(self) -> list:
-        if self._snap is not None:
-            if not self._snap.partitions_loaded:
-                raise StorageError(
-                    f"table {self.name!r} has not been loaded yet"
-                )
-            return self._snap.partitions
-        if not self._entry.partitions_loaded:
+    def _loaded_regions(self) -> list[Region]:
+        """The regions a scan or rewrite reads; raises when the table has
+        not been loaded yet."""
+        if not self.is_loaded:
             raise StorageError(
                 f"table {self.name!r} has not been loaded yet"
             )
-        return self._entry.partitions
+        return self._regions
 
     # -- levelled (LSM) runs -----------------------------------------------
 
@@ -323,14 +304,9 @@ class Table:
 
     @property
     def row_count(self) -> int:
-        if self.is_partitioned:
-            return sum(r.row_count for r in self.partitions)
         if self.is_levelled:
             return self._levelled_row_count()
-        count = self.layout.row_count if self.is_loaded else 0
-        count += sum(o.row_count for o in self._overflow)
-        count += len(self._pending)
-        return count
+        return sum(r.row_count for r in self._regions)
 
     def scan_schema(self) -> Schema:
         """Schema of the tuples a scan produces (folded layouts un-nest)."""
@@ -564,12 +540,10 @@ class Table:
             batches: Iterator[ColumnBatch] = _chunk_rows(
                 index_rows, tuple(avail), probe_chunk
             )
-        elif self.is_partitioned:
-            batches, avail = self._partition_batches(needed, predicate)
         elif self.is_levelled:
             batches, avail = self._levelled_batches(needed, predicate)
         else:
-            batches, avail = self._batches_with_overflow(needed, predicate)
+            batches, avail = self._region_batches(needed, predicate)
         positions = {name: i for i, name in enumerate(avail)}
 
         row_filter = None
@@ -695,12 +669,13 @@ class Table:
         index_rows = self._index_path(predicate)
         if index_rows is not None:
             rows, avail = index_rows, self.plan.schema.names()
-        elif self.is_partitioned:
-            rows, avail = self._partition_rows(needed, predicate)
         elif self.is_levelled:
             rows, avail = self._levelled_rows(needed, predicate)
         else:
-            rows, avail = self._iter_with_overflow(needed, predicate)
+            readers, avail = self._region_sources(
+                self._region_row_iter, needed, predicate
+            )
+            rows = chain.from_iterable(readers)
         positions = {name: i for i, name in enumerate(avail)}
 
         if predicate is not None:
@@ -770,65 +745,10 @@ class Table:
             return {}
         return zonemaps.predicate_intervals(predicate)
 
-    def _batches_with_overflow(
-        self,
-        needed: Sequence[str] | None,
-        predicate: Predicate | None,
-    ) -> tuple[Iterator[ColumnBatch], list[str]]:
-        """Main-layout batches with overflow + pending as trailing batches.
-
-        Overflow regions are row-major renders with their own page zone
-        maps, and the pending buffer keeps an incrementally maintained
-        zone — both prune against the same predicate intervals as the main
-        layout.
-        """
-        main_batches, avail = self._batch_stored(
-            self.layout, needed, predicate
-        )
-        fields = tuple(avail)
-        renderer = self._db.renderer
-        project_idx = _projection_idx(self.scan_schema().names(), avail)
-        overflow_layouts = list(self._overflow)
-        intervals = self._prune_intervals(predicate)
-        pending = [tuple(r) for r in self._pending]
-        if (
-            pending
-            and intervals
-            and self._pending_zone is not None
-            and not zonemaps.zone_may_match(self._pending_zone, intervals)
-        ):
-            pending = []
-
-        def overflow_batches(overflow) -> Iterator[ColumnBatch]:
-            skip = (
-                zonemaps.rows_page_skip(overflow, intervals)
-                if intervals
-                else None
-            )
-            for batch in renderer.iter_row_batches(overflow, skip=skip):
-                if project_idx is None:
-                    yield batch
-                else:
-                    yield batch.project(project_idx, fields)
-
-        def chained() -> Iterator[ColumnBatch]:
-            yield from self._corruption_guard(main_batches, "main")
-            for i, overflow in enumerate(overflow_layouts):
-                yield from self._corruption_guard(
-                    overflow_batches(overflow), f"overflow[{i}]"
-                )
-            if pending:
-                rows = (
-                    pending
-                    if project_idx is None
-                    else project_rows(pending, project_idx)
-                )
-                yield ColumnBatch.from_rows(fields, rows)
-
-        return chained(), avail
-
     # ==================================================================
-    # partitioned scans (one independently rendered region per partition)
+    # region scans: per region, the main layout, then each overflow
+    # region, then the pending memtable (one region for a flat table,
+    # one per partition for a partitioned table)
     # ==================================================================
 
     def _partition_target_fields(self, needed: Sequence[str] | None) -> list[str]:
@@ -851,9 +771,10 @@ class Table:
         per-field ranges with the partition map — range bounds, value keys,
         or (for point predicates) the hash bucket — before any region's
         zone maps even load. Pruning is conservative: expression keys and
-        non-numeric values keep every region.
+        non-numeric values keep every region, and an unpartitioned table's
+        one region always survives.
         """
-        regions = self._require_partitions()
+        regions = self._loaded_regions()
         if predicate is None or not getattr(
             self._db, "partition_pruning", True
         ):
@@ -881,82 +802,100 @@ class Table:
         regions = self.partitions
         return len(regions) - len(self.partition_survivors(predicate))
 
-    def _partitions_for_scan(self, predicate: Predicate | None) -> list:
-        """Survivors for an *executing* scan: updates the cumulative
-        pruning counters and feeds per-partition access skew to the
-        workload monitor."""
-        regions = self._require_partitions()
+    def _regions_for_scan(self, predicate: Predicate | None) -> list:
+        """Survivors for an *executing* scan. On a partitioned table this
+        also updates the cumulative pruning counters and feeds
+        per-partition access skew to the workload monitor."""
         survivors = self.partition_survivors(predicate)
-        entry = self._entry
-        entry.partition_scans += 1
-        entry.partitions_pruned_total += len(regions) - len(survivors)
-        self._db.adaptivity.observe_partitions(
-            self.name, [r.pid for r in survivors]
-        )
+        if self.is_partitioned:
+            entry = self._entry
+            entry.partition_scans += 1
+            entry.partitions_pruned_total += len(self._regions) - len(
+                survivors
+            )
+            self._db.adaptivity.observe_partitions(
+                self.name, [r.pid for r in survivors]
+            )
         return survivors
 
     def _region_batch_iter(
         self,
-        region,
+        region: Region,
         needed: Sequence[str] | None,
         predicate: Predicate | None,
-        target: Sequence[str],
+        target: Sequence[str] | None = None,
     ):
-        """Zero-arg source producing one region's batches (main layout +
-        overflow + pending, all zone-pruned) projected to ``target``."""
+        """One region's batch source: main layout, each overflow region,
+        then the pending memtable — all zone-pruned — projected to
+        ``target``.
+
+        ``target=None`` keeps the main layout's own field order (a flat
+        table scans exactly as its layout stores it); learning that order
+        opens the main layout eagerly. Returns ``(make, target)`` where
+        ``make`` is a zero-arg batch generator, so partitioned scans can
+        fan regions out to worker threads. Corruption is contained per
+        stored unit: the main layout and each overflow region.
+        """
         renderer = self._db.renderer
+        layout = region.layout
+        main = None
+        if target is None:
+            main, target = self._batch_stored(layout, needed, predicate)
         fields = tuple(target)
-        scan_names = self.scan_schema().names()
+        over_idx = _projection_idx(self.scan_schema().names(), target)
+        # Corruption-report labels: ``main`` / ``overflow[i]``, prefixed
+        # with ``partition[pid].`` for a partition.
+        prefix = f"partition[{region.pid}]." if self.is_partitioned else ""
+
+        def overflow_batches(overflow, intervals) -> Iterator[ColumnBatch]:
+            skip = (
+                zonemaps.rows_page_skip(overflow, intervals)
+                if intervals
+                else None
+            )
+            for batch in renderer.iter_row_batches(overflow, skip=skip):
+                if over_idx is None:
+                    yield batch
+                else:
+                    yield batch.project(over_idx, fields)
 
         def generate() -> Iterator[ColumnBatch]:
             intervals = self._prune_intervals(predicate)
-            if region.layout is not None and region.layout.row_count:
-                main, avail = self._batch_stored(
-                    region.layout, needed, predicate
-                )
+            source = main
+            if source is None and layout is not None and layout.row_count:
+                source, avail = self._batch_stored(layout, needed, predicate)
                 idx = _projection_idx(avail, target)
-                if idx is None:
-                    yield from main
-                else:
-                    for batch in main:
-                        yield batch.project(idx, fields)
-            over_idx = _projection_idx(scan_names, target)
-            for overflow in region.overflow:
-                skip = (
-                    zonemaps.rows_page_skip(overflow, intervals)
-                    if intervals
-                    else None
+                if idx is not None:
+                    source = (batch.project(idx, fields) for batch in source)
+            if source is not None:
+                yield from self._corruption_guard(source, prefix + "main")
+            for i, overflow in enumerate(region.overflow):
+                yield from self._corruption_guard(
+                    overflow_batches(overflow, intervals),
+                    f"{prefix}overflow[{i}]",
                 )
-                for batch in renderer.iter_row_batches(overflow, skip=skip):
-                    if over_idx is None:
-                        yield batch
-                    else:
-                        yield batch.project(over_idx, fields)
-            pending = [tuple(r) for r in region.pending]
+            pending = region.pending
             if (
                 pending
                 and intervals
                 and region.pending_zone is not None
                 and not zonemaps.zone_may_match(region.pending_zone, intervals)
             ):
-                pending = []
+                pending = ()
             if pending:
-                rows = (
-                    pending
-                    if over_idx is None
-                    else project_rows(pending, over_idx)
-                )
+                rows = [tuple(r) for r in pending]
+                if over_idx is not None:
+                    rows = project_rows(rows, over_idx)
                 yield ColumnBatch.from_rows(fields, rows)
 
-        unit = f"partition[{region.pid}]"
-        return lambda: self._corruption_guard(generate(), unit)
+        return generate, target
 
-    def _partition_batches(
+    def _region_batches(
         self,
         needed: Sequence[str] | None,
         predicate: Predicate | None,
     ) -> tuple[Iterator[ColumnBatch], list[str]]:
-        """Batch source over all surviving partitions.
+        """Batch source over every surviving region.
 
         With ``store.scan_workers > 1`` and more than one surviving region,
         regions fan out to the store's shared thread pool morsel-style and
@@ -964,12 +903,9 @@ class Table:
         byte-identical to serial ones (the buffer pool is lock-guarded for
         exactly this path).
         """
-        target = self._partition_target_fields(needed)
-        survivors = self._partitions_for_scan(predicate)
-        sources = [
-            self._region_batch_iter(region, needed, predicate, target)
-            for region in survivors
-        ]
+        sources, target = self._region_sources(
+            self._region_batch_iter, needed, predicate
+        )
         workers = int(getattr(self._db, "scan_workers", 0) or 0)
         if workers > 1 and len(sources) > 1:
             from repro.query.operators import fan_out_partitions
@@ -986,52 +922,64 @@ class Table:
             batches = serial()
         return batches, target
 
+    def _region_sources(
+        self,
+        reader,
+        needed: Sequence[str] | None,
+        predicate: Predicate | None,
+    ) -> tuple[list, list[str]]:
+        """Open ``reader`` (:meth:`_region_batch_iter` or
+        :meth:`_region_row_iter`) on every surviving region, in region
+        order. Partitions project to the canonical target order; a flat
+        table's one region sets the target to its main layout's order.
+        Returns ``(sources, target)``."""
+        target = (
+            self._partition_target_fields(needed)
+            if self.is_partitioned
+            else None
+        )
+        sources = []
+        for region in self._regions_for_scan(predicate):
+            source, target = reader(region, needed, predicate, target)
+            sources.append(source)
+        return sources, list(target)
+
     def _region_row_iter(
         self,
-        region,
+        region: Region,
         needed: Sequence[str] | None,
         predicate: Predicate | None,
-        target: Sequence[str],
-    ) -> Iterator[tuple]:
-        """Tuple-at-a-time region scan (the reference-path counterpart of
-        :meth:`_region_batch_iter`; overflow/pending stay un-pruned so the
-        reference pipeline remains a zone-map-free oracle)."""
-        if region.layout is not None and region.layout.row_count:
-            main, avail = self._iter_stored(region.layout, needed, predicate)
-            projector = _row_fields_projector(avail, target)
-            yield from (main if projector is None else map(projector, main))
-        scan_names = self.scan_schema().names()
-        over = _row_fields_projector(scan_names, target)
-        renderer = self._db.renderer
-        for overflow in region.overflow:
-            it = renderer.iter_rows(overflow)
-            yield from (it if over is None else map(over, it))
-        if region.pending:
-            pending = iter([tuple(r) for r in region.pending])
-            yield from (pending if over is None else map(over, pending))
-
-    def _partition_rows(
-        self,
-        needed: Sequence[str] | None,
-        predicate: Predicate | None,
+        target: Sequence[str] | None = None,
     ) -> tuple[Iterator[tuple], list[str]]:
-        target = self._partition_target_fields(needed)
-        survivors = self._partitions_for_scan(predicate)
+        """Tuple-at-a-time region scan — the reference-path counterpart of
+        :meth:`_region_batch_iter` (same ``target`` rule; overflow/pending
+        stay un-pruned so the reference pipeline remains a zone-map-free
+        oracle). Returns ``(rows, target)``."""
+        layout = region.layout
+        sources: list[Iterable[tuple]] = []
+        if layout is not None and (target is None or layout.row_count):
+            main, avail = self._iter_stored(layout, needed, predicate)
+            if target is None:
+                target = avail
+            projector = _row_fields_projector(avail, target)
+            sources.append(main if projector is None else map(projector, main))
+        over = _row_fields_projector(self.scan_schema().names(), target)
+        renderer = self._db.renderer
+        tails: list[Iterable[tuple]] = [
+            renderer.iter_rows(overflow) for overflow in region.overflow
+        ]
+        if region.pending:
+            tails.append([tuple(r) for r in region.pending])
+        sources.extend(t if over is None else map(over, t) for t in tails)
+        return chain.from_iterable(sources), list(target)
 
-        def generate() -> Iterator[tuple]:
-            for region in survivors:
-                yield from self._region_row_iter(
-                    region, needed, predicate, target
-                )
-
-        return generate(), target
-
-    def _region_rows(self, region) -> list[tuple]:
+    def _region_rows(self, region: Region) -> list[tuple]:
         """Every stored-shape row of one region (main + overflow +
-        pending) in canonical scan order — the source of a
-        partition-granular rewrite."""
+        pending) in canonical scan order — the source of a region
+        rewrite (compaction, delete/update, partition re-layout)."""
         target = list(self.scan_schema().names())
-        return list(self._region_row_iter(region, None, None, target))
+        rows, _ = self._region_row_iter(region, None, None, target)
+        return list(rows)
 
     # ==================================================================
     # levelled (LSM) scans: pending buffer, then runs newest-first
@@ -1069,14 +1017,15 @@ class Table:
         run_pred = predicate if not keyed else None
         resolver = _LevelResolver(spec, target, tombstones)
         runs = list(reversed(self._runs))
-        pending = [tuple(r) for r in self._pending]
+        memtable = self._regions[0]
+        pending = [tuple(r) for r in memtable.pending]
         intervals = self._prune_intervals(run_pred)
         if (
             pending
             and not keyed
             and intervals
-            and self._pending_zone is not None
-            and not zonemaps.zone_may_match(self._pending_zone, intervals)
+            and memtable.pending_zone is not None
+            and not zonemaps.zone_may_match(memtable.pending_zone, intervals)
         ):
             pending = []
         pending_idx = _projection_idx(self.scan_schema().names(), target)
@@ -1135,7 +1084,7 @@ class Table:
         run_pred = predicate if not keyed else None
         resolver = _LevelResolver(spec, target, tombstones)
         runs = list(reversed(self._runs))
-        pending = [tuple(r) for r in self._pending]
+        pending = [tuple(r) for r in self._regions[0].pending]
         pending_projector = _row_fields_projector(
             self.scan_schema().names(), target
         )
@@ -1180,7 +1129,9 @@ class Table:
     def _levelled_row_count(self) -> int:
         spec = self.plan.levels
         if spec.key is None and not self._level_tombstones:
-            return len(self._pending) + sum(r.row_count for r in self._runs)
+            return len(self._regions[0].pending) + sum(
+                r.row_count for r in self._runs
+            )
         rows, _ = self._levelled_rows(None, None)
         return sum(1 for _ in rows)
 
@@ -1277,39 +1228,6 @@ class Table:
             )
             return renderer.iter_array_batches(layout, skip=skip), ["value"]
         raise StorageError(f"cannot scan layout kind {plan.kind!r}")
-
-    def _iter_with_overflow(
-        self,
-        needed: Sequence[str] | None,
-        predicate: Predicate | None,
-    ) -> tuple[Iterator[tuple], list[str]]:
-        """Main-layout records chained with overflow + pending records."""
-        main_iter, avail = self._iter_stored(
-            self.layout, needed, predicate
-        )
-        extra_sources: list[Iterator[tuple]] = []
-        renderer = self._db.renderer
-        schema_names = self.scan_schema().names()
-        needs_projection = avail != schema_names
-        if needs_projection:
-            project = _row_projector([schema_names.index(f) for f in avail])
-        for overflow in self._overflow:
-            it = renderer.iter_rows(overflow)
-            if needs_projection:
-                it = map(project, it)
-            extra_sources.append(it)
-        if self._pending:
-            pending = iter([tuple(r) for r in self._pending])
-            if needs_projection:
-                pending = map(project, pending)
-            extra_sources.append(pending)
-
-        def chained() -> Iterator[tuple]:
-            yield from main_iter
-            for source in extra_sources:
-                yield from source
-
-        return chained(), avail
 
     def _iter_stored(
         self,
@@ -1575,30 +1493,21 @@ class Table:
         return best
 
     def _order_satisfied(self, order_keys: tuple[tuple[str, bool], ...]) -> bool:
-        if self.is_partitioned:
-            return self._partition_order_satisfied(order_keys)
-        if self._overflow or self._pending:
-            return False  # overflow regions are unordered relative to main
-        stored = tuple(self.plan.sort_keys)
-        if len(order_keys) > len(stored):
-            return False
-        return stored[: len(order_keys)] == order_keys
+        """Does a scan serve ``order_keys`` without sorting?
 
-    def _partition_order_satisfied(
-        self, order_keys: tuple[tuple[str, bool], ...]
-    ) -> bool:
-        """Does a partitioned scan serve ``order_keys`` without sorting?
-
-        Every non-empty region must store that order itself (regions may
-        have diverged designs, so each is checked), and — with multiple
-        non-empty regions — the regions must concatenate in key order,
-        which only range partitioning on the leading (ascending) sort key
-        guarantees (regions are kept sorted by range bucket).
+        No region may hold overflow/pending rows (they are unordered
+        relative to the main layout), every non-empty region must store
+        that order itself (partitions may have diverged designs, so each
+        is checked), and — with multiple non-empty regions — the regions
+        must concatenate in key order, which only range partitioning on
+        the leading (ascending) sort key guarantees (regions are kept
+        sorted by range bucket). Levelled runs resolve newest-first, so a
+        levelled table stores no order at all.
         """
         if not order_keys:
             return True
-        regions = self.partitions
-        if any(r.overflow or r.pending for r in regions):
+        regions = self._regions
+        if any(r.unfolded for r in regions) or self.is_levelled:
             return False
         live = [
             r
@@ -1691,8 +1600,7 @@ class Table:
         if (
             predicate is None
             or self.plan.kind != LAYOUT_ROWS
-            or self._overflow
-            or self._pending
+            or self._regions[0].unfolded
             or not self.layout.page_row_counts
         ):
             return None
@@ -1900,25 +1808,14 @@ class Table:
         needed: Sequence[str] | None,
         predicate: Predicate | None,
     ) -> CostEstimate:
-        """Main-layout scan cost plus one pass per overflow region (the
-        shared scan branch of :meth:`scan_cost` and :meth:`access_path`).
+        """Per surviving region: main-layout scan cost plus one pass per
+        overflow region (the shared scan branch of :meth:`scan_cost` and
+        :meth:`access_path`).
 
         Partitioned tables sum the surviving regions only — partition
         pruning shows up in the estimate exactly as it does at runtime.
         """
         model = self._db.cost_model
-        if self.is_partitioned:
-            total = CostEstimate.zero()
-            for region in self.partition_survivors(predicate):
-                if region.layout is not None:
-                    total = total + self._layout_scan_cost(
-                        region.layout, needed, predicate
-                    )
-                for overflow in region.overflow:
-                    total = total + estimate(
-                        model, overflow.total_pages(), 1
-                    )
-            return total
         if self.is_levelled:
             # One independently costed pass per run (pending rows are
             # memory-resident). Keyed tables scan un-pruned — see
@@ -1935,9 +1832,14 @@ class Table:
                         run.layout, run_needed, run_pred
                     )
             return total
-        total = self._layout_scan_cost(self.layout, needed, predicate)
-        for overflow in self._overflow:
-            total = total + estimate(model, overflow.total_pages(), 1)
+        total = CostEstimate.zero()
+        for region in self.partition_survivors(predicate):
+            if region.layout is not None:
+                total = total + self._layout_scan_cost(
+                    region.layout, needed, predicate
+                )
+            for overflow in region.overflow:
+                total = total + estimate(model, overflow.total_pages(), 1)
         return total
 
     def access_path(
@@ -1978,28 +1880,6 @@ class Table:
             return 0
         intervals = self._prune_intervals(predicate)
         needed = self._needed_fields(fieldlist, predicate, ())
-        if self.is_partitioned:
-            survivors = {
-                r.pid for r in self.partition_survivors(predicate)
-            }
-            total = 0
-            for region in self.partitions:
-                if region.pid not in survivors:
-                    # The whole region is skipped: every one of its pages
-                    # (main layout and overflow) counts as pruned.
-                    total += region.total_pages()
-                    continue
-                if not intervals:
-                    continue
-                if region.layout is not None:
-                    total += self._layout_pruned_pages(
-                        region.layout, needed, predicate
-                    )
-                for overflow in region.overflow:
-                    skip = zonemaps.rows_page_skip(overflow, intervals)
-                    if skip:
-                        total += len(skip)
-            return total
         if self.is_levelled:
             if self.plan.levels.key is not None or not intervals:
                 return 0  # keyed scans never prune (shadowing soundness)
@@ -2011,13 +1891,24 @@ class Table:
                         run.layout, run_needed, predicate
                     )
             return total
-        if not intervals:
-            return 0
-        total = self._layout_pruned_pages(self.layout, needed, predicate)
-        for overflow in self._overflow:
-            skip = zonemaps.rows_page_skip(overflow, intervals)
-            if skip:
-                total += len(skip)
+        survivors = {r.pid for r in self.partition_survivors(predicate)}
+        total = 0
+        for region in self._regions:
+            if region.pid not in survivors:
+                # The whole region is skipped: every one of its pages
+                # (main layout and overflow) counts as pruned.
+                total += region.total_pages()
+                continue
+            if not intervals:
+                continue
+            if region.layout is not None:
+                total += self._layout_pruned_pages(
+                    region.layout, needed, predicate
+                )
+            for overflow in region.overflow:
+                skip = zonemaps.rows_page_skip(overflow, intervals)
+                if skip:
+                    total += len(skip)
         return total
 
     def _layout_pruned_pages(
@@ -2097,6 +1988,7 @@ class Table:
             not plan.sort_keys
             or plan.delta_fields
             or predicate is None
+            or not layout.row_count  # no first key to binary-search on
             or not layout.page_row_counts
             or layout.extent is None
         ):
@@ -2117,8 +2009,7 @@ class Table:
         if (
             predicate is None
             or self.plan.kind != LAYOUT_ROWS
-            or self._overflow
-            or self._pending
+            or self._regions[0].unfolded
         ):
             return None
         stats = self._entry.stats
@@ -2281,24 +2172,9 @@ class Table:
         transformed = self._apply_record_pipeline(coerced)
         entry = self._entry
         with self._db.mutate(self.name) as m:
-            with entry.mvcc.lock:
-                if self.is_partitioned:
-                    # Route each record to its owning partition's pending
-                    # buffer (creating regions for unseen value-partition
-                    # keys), keeping that partition's zone map current.
-                    if transformed:
-                        self._route_pending(transformed)
-                elif transformed:
-                    entry.pending.extend(transformed)
-                    # Incremental synopsis over the pending buffer: each
-                    # insert extends the running zone instead of rescanning.
-                    if entry.pending_zone is None:
-                        entry.pending_zone = zonemaps.ZoneSynopsis()
-                    entry.pending_zone.update(
-                        self.scan_schema().names(), transformed
-                    )
-                    self._mark_indexes_stale()
             if transformed:
+                with entry.mvcc.lock:
+                    self._append_pending(transformed)
                 m.log_rows(self.name, transformed)
         if transformed and entry.plan is not None and (
             entry.plan.kind == LAYOUT_LEVELLED
@@ -2312,22 +2188,32 @@ class Table:
             self._db.maintain_levels(self.name)
         return len(transformed)
 
-    def _route_pending(self, rows: list[tuple]) -> None:
+    def _append_pending(self, rows: list[tuple]) -> None:
+        """Append stored-shape rows to their regions' pending memtables —
+        the one append path of inserts and recovery replay.
+
+        A flat table appends to its one region; a partitioned table routes
+        each row to its owning partition (creating regions for unseen
+        value-partition keys). Each touched region's zone synopsis extends
+        incrementally instead of rescanning. Callers hold the MVCC lock.
+        """
         db, entry = self._db, self._entry
-        router = db.router_for(entry)
+        if self.is_partitioned:
+            router = db.router_for(entry)
+            grouped: dict[int, tuple[Region, list[tuple]]] = {}
+            for row in rows:
+                region = db._region_for(entry, router.locate(row))
+                grouped.setdefault(region.pid, (region, []))[1].append(row)
+            batches = list(grouped.values())
+        else:
+            batches = [(entry.regions[0], rows)]
         names = self.scan_schema().names()
-        grouped: dict[int, list[tuple]] = {}
-        regions: dict[int, Any] = {}
-        for row in rows:
-            region = db._region_for(entry, router.locate(row))
-            grouped.setdefault(region.pid, []).append(row)
-            regions[region.pid] = region
-        for pid, batch in grouped.items():
-            region = regions[pid]
+        for region, batch in batches:
             region.pending.extend(batch)
             if region.pending_zone is None:
                 region.pending_zone = zonemaps.ZoneSynopsis()
             region.pending_zone.update(names, batch)
+        self._mark_indexes_stale()
 
     def _apply_record_pipeline(
         self, records: list[tuple], plan: PhysicalPlan | None = None
@@ -2369,46 +2255,31 @@ class Table:
             # new level-0 run (the returned layout is the run's).
             return self._db.seal_level_run(self.name)
         with self._db.mutate(self.name) as m:
-            if self.is_partitioned:
-                flushed = []
-                for region in entry.partitions:
-                    if not region.pending:
-                        continue
-                    overflow = self._db.render_overflow_region(
-                        self.scan_schema(), region.pending
-                    )
-                    with entry.mvcc.lock:
-                        region.overflow.append(overflow)
-                        region.pending = []
-                        region.pending_zone = None
-                    m.log_layout(overflow)
-                    flushed.append(overflow)
-                if flushed:
-                    m.touch(self.name)
-                return flushed or None
-            if not entry.pending:
-                return None
-            overflow = self._db.render_overflow_region(
-                self.scan_schema(), entry.pending
-            )
-            with entry.mvcc.lock:
-                entry.overflow.append(overflow)
-                entry.pending = []
-                entry.pending_zone = None
-                self._db._wa_note(entry, overflow, ingest=True)
-            m.log_layout(overflow)
-            m.touch(self.name)
-            return overflow
+            flushed = []
+            for region in entry.regions:
+                if not region.pending:
+                    continue
+                overflow = self._db.render_overflow_region(
+                    self.scan_schema(), region.pending
+                )
+                with entry.mvcc.lock:
+                    region.overflow.append(overflow)
+                    region.pending = []
+                    region.pending_zone = None
+                    self._db._wa_note(entry, overflow, ingest=True)
+                m.log_layout(overflow)
+                flushed.append(overflow)
+            if flushed:
+                m.touch(self.name)
+        if self.is_partitioned:
+            return flushed or None
+        return flushed[0] if flushed else None
 
     @property
     def overflow_row_count(self) -> int:
-        if self.is_partitioned:
-            return sum(
-                sum(o.row_count for o in r.overflow) + len(r.pending)
-                for r in self.partitions
-            )
-        return sum(o.row_count for o in self._overflow) + len(
-            self._pending
+        return sum(
+            sum(o.row_count for o in r.overflow) + len(r.pending)
+            for r in self._regions
         )
 
     def compact(self) -> None:
@@ -2504,39 +2375,21 @@ class Table:
             return out, changed
 
         with self._db.mutate(self.name) as m:
-            if self.is_partitioned:
-                total = 0
-                for region in self._require_partitions():
-                    with self._db.adaptivity.pause():
-                        rows = self._region_rows(region)
-                    new_rows, changed = transform(rows)
-                    if not changed:
-                        continue
-                    total += changed
-                    new_layout = self._db._render_region(
-                        self.plan, region.plan, new_rows
-                    )
-                    with entry.mvcc.lock:
-                        old_layout = region.layout
-                        old_overflow = list(region.overflow)
-                        region.layout = new_layout
-                        region.overflow = []
-                        region.pending = []
-                        region.pending_zone = None
-                        entry.mvcc.retire(
-                            self._db._layout_freer(old_layout, *old_overflow)
-                        )
-                    m.log_layout(new_layout)
-                if total:
-                    m.touch(self.name)
-                return total
-            with self._db.adaptivity.pause():
-                rows = list(self.scan())
-            new_rows, changed = transform(rows)
-            if not changed:
-                return 0
-            self._db._rewrite_stored(entry, new_rows, m)
-            return changed
+            total = 0
+            for region in self._loaded_regions():
+                with self._db.adaptivity.pause():
+                    rows = self._region_rows(region)
+                new_rows, changed = transform(rows)
+                if not changed:
+                    continue
+                total += changed
+                new_layout = self._db._render_region(
+                    self.plan, region.plan, new_rows
+                )
+                self._db._swap_region(entry, region, new_layout, m)
+            if total:
+                m.touch(self.name)
+            return total
 
     def _rewrite_levelled(
         self,
@@ -2600,6 +2453,7 @@ class Table:
             else:
                 def drop(row: tuple) -> bool:
                     return row in victim_set
+            memtable = entry.regions[0]
             with entry.mvcc.lock:
                 if predicate is None and assignments is None:
                     # Delete-all: drop every run outright, no tombstones.
@@ -2608,8 +2462,8 @@ class Table:
                     ]
                     entry.runs = []
                     entry.level_tombstones = []
-                    entry.pending = []
-                    entry.pending_zone = None
+                    memtable.pending = []
+                    memtable.pending_zone = None
                     if old_layouts:
                         entry.mvcc.retire(
                             self._db._layout_freer(*old_layouts)
@@ -2617,13 +2471,13 @@ class Table:
                 else:
                     survivors = [
                         tuple(r)
-                        for r in entry.pending
+                        for r in memtable.pending
                         if not drop(tuple(r))
                     ]
                     survivors.extend(new_rows)
-                    entry.pending = survivors
+                    memtable.pending = survivors
                     if not survivors:
-                        entry.pending_zone = None
+                        memtable.pending_zone = None
                     else:
                         # Incremental maintenance: the existing zone
                         # already covers every survivor (survivors are a
@@ -2632,12 +2486,12 @@ class Table:
                         # O(pending). The bounds stay a sound
                         # over-approximation until the next seal renders
                         # an exact synopsis for the sealed run.
-                        if entry.pending_zone is None:
+                        if memtable.pending_zone is None:
                             zone = zonemaps.ZoneSynopsis()
                             zone.update(names, survivors)
-                            entry.pending_zone = zone
+                            memtable.pending_zone = zone
                         elif new_rows:
-                            entry.pending_zone.update(names, new_rows)
+                            memtable.pending_zone.update(names, new_rows)
                     if entry.runs:
                         seq = entry.next_run_seq
                         entry.next_run_seq += 1

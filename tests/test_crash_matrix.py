@@ -48,6 +48,10 @@ def build_workload(seed):
         ("relayout", "partition[id; range, 128](T)"),
         ("update", (200, 229)),
         ("insert", [(400 + i, rng.randrange(1000)) for i in range(20)]),
+        # Crash through partition overflow: flush the routed pending rows
+        # into per-region overflow, then fold them back in.
+        ("flush", None),
+        ("compact", None),
     ]
 
     # Model the expected state after each op completes.
@@ -154,7 +158,7 @@ def test_crash_recovery_matrix():
                 want = expected[completed - 1]
                 entry = reopened.catalog.entry("T")
                 if entry.plan is None or (
-                    entry.layout is None and not entry.partitions
+                    all(r.layout is None for r in entry.regions)
                 ):
                     got = []  # created but never loaded
                 else:
@@ -269,7 +273,7 @@ def test_crash_recovery_levelled_matrix():
             else:
                 entry = reopened.catalog.entry("T")
                 if entry.plan is None or (
-                    not entry.runs and not entry.pending
+                    not entry.runs and not entry.regions[0].pending
                 ):
                     got = []
                 else:

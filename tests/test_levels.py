@@ -129,7 +129,7 @@ def test_full_compaction_single_run():
     t.compact()
     entry = store.catalog.entry("T")
     assert t.run_count == 1
-    assert entry.pending == [] and entry.level_tombstones == []
+    assert entry.regions[0].pending == [] and entry.level_tombstones == []
     assert sorted(t.scan()) == sorted(rows + [(100, 1)])
     store.close()
 
@@ -275,7 +275,7 @@ def test_pending_zone_incremental_after_interleaved_insert_delete():
             live = [r for r in live if not lo <= r[0] <= lo + 7]
         # Soundness: every live pending row is covered by the zone, so a
         # point query for it can never be wrongly pruned.
-        zone = entry.pending_zone
+        zone = entry.regions[0].pending_zone
         if live:
             assert zone is not None
             for row in rng.sample(live, min(4, len(live))):
@@ -297,12 +297,12 @@ def test_pending_zone_incremental_not_rebuilt_on_delete():
     t = store.table("T")
     entry = store.catalog.entry("T")
     t.insert([(i, i) for i in range(50)])
-    zone_before = entry.pending_zone
+    zone_before = entry.regions[0].pending_zone
     assert zone_before is not None
     t.delete(Range("id", 40, 49))
-    assert entry.pending_zone is zone_before  # maintained in place
+    assert entry.regions[0].pending_zone is zone_before  # maintained in place
     # ...and still covers every survivor (over-approximation is fine).
-    fz = entry.pending_zone.fields["id"]
+    fz = entry.regions[0].pending_zone.fields["id"]
     assert fz.min_value <= 0 and fz.max_value >= 39
     assert sorted(t.scan()) == [(i, i) for i in range(40)]
     store.close()
@@ -314,15 +314,15 @@ def test_flush_inserts_seals_and_resets_pending_zone():
     t = store.table("T")
     entry = store.catalog.entry("T")
     t.insert([(i, i) for i in range(20)])
-    assert entry.pending_zone is not None
+    assert entry.regions[0].pending_zone is not None
     layout = t.flush_inserts()
     assert layout is not None and t.run_count == 1
     # The seal renders an exact per-run synopsis; the buffer zone resets
     # so post-flush bounds reflect only newly pending rows.
-    assert entry.pending is not None and len(entry.pending) == 0
-    assert entry.pending_zone is None
+    assert entry.regions[0].pending is not None and len(entry.regions[0].pending) == 0
+    assert entry.regions[0].pending_zone is None
     t.insert([(1000, 1)])
-    assert entry.pending_zone.fields["id"].min_value == 1000
+    assert entry.regions[0].pending_zone.fields["id"].min_value == 1000
     store.close()
 
 
