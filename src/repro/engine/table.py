@@ -77,7 +77,7 @@ from repro.layout.renderer import (
     project_rows,
     select_column_groups,
 )
-from repro.query.expressions import Predicate
+from repro.query.expressions import Predicate, Range
 from repro.types.schema import Schema
 from repro.types.values import multisort
 
@@ -320,13 +320,20 @@ class Table:
     def estimated_row_count(self, predicate: Predicate | None = None) -> float:
         """Expected rows a scan with ``predicate`` produces.
 
-        The base count is the table's actual row count; the predicate's
-        prunable ranges scale it by histogram selectivity (independence
+        The base count is the table's row count; the predicate's prunable
+        ranges scale it by histogram selectivity (independence
         assumption). Residual conditions beyond the ranges are ignored, so
         this is an upper-bound style estimate — what the planner needs for
-        join ordering and build-side choice.
+        join ordering and build-side choice. A levelled table's base is
+        its stored-row upper bound (pending rows plus every run's rows,
+        shadowed and tombstoned rows included), read from run metadata:
+        pricing a plan never decodes or resolves the level tree.
         """
-        base = float(self.row_count)
+        base = float(
+            self._levelled_stored_rows()
+            if self.is_levelled
+            else self.row_count
+        )
         if predicate is None or self._entry.stats is None:
             return base
         return base * self._entry.stats.predicate_selectivity(
@@ -989,6 +996,7 @@ class Table:
         self,
         needed: Sequence[str] | None,
         predicate: Predicate | None,
+        guarded: bool = True,
     ) -> tuple[Iterator[ColumnBatch], list[str]]:
         """Batch source over a levelled table.
 
@@ -998,10 +1006,19 @@ class Table:
 
         Multiset tables keep every pruning lever (per-run zone and page
         skips, the pending-zone skip): tombstone suppression is by row
-        value, independent of what pruning drops. Keyed tables scan
-        un-pruned and un-projected instead — a newer version must shadow
-        older versions of its key even when the newer row itself fails the
-        predicate — leaving selection entirely to the downstream filter.
+        value, independent of what pruning drops. Keyed tables read whole
+        rows (the resolver needs the key) and prune by the key range only:
+        when the merge key is a plain field the predicate bounds, every
+        segment is cut to that range — each run through its page skip and a
+        batch filter, the pending buffer by a row filter — before the
+        resolver sees it. Shadowing is by key, so a row outside the range
+        can neither be returned nor shadow a returned row (tombstones are
+        keys too). Any other condition is left to the downstream filter,
+        which therefore sees only the newest version of each key. Tables
+        with an expression key scan un-pruned.
+
+        ``guarded=False`` lets a corrupt page raise even under degraded
+        reads — what a delete/update needs to never miss a victim.
         """
         spec = self.plan.levels
         keyed = spec.key is not None
@@ -1015,10 +1032,22 @@ class Table:
         fields = tuple(target)
         run_needed = needed if plain else None
         run_pred = predicate if not keyed else None
+        key_keep = None
+        if keyed and predicate is not None and spec.key_field is not None:
+            lo, hi = predicate.ranges().get(
+                spec.key_field, (float("-inf"), float("inf"))
+            )
+            if lo > hi:
+                return iter(()), target  # contradictory key bounds
+            if lo != float("-inf") or hi != float("inf"):
+                run_pred = Range(spec.key_field, lo, hi)
+                key_keep = _key_in_range(target.index(spec.key_field), lo, hi)
         resolver = _LevelResolver(spec, target, tombstones)
         runs = list(reversed(self._runs))
         memtable = self._regions[0]
         pending = [tuple(r) for r in memtable.pending]
+        if key_keep is not None:
+            pending = list(filter(key_keep, pending))
         intervals = self._prune_intervals(run_pred)
         if (
             pending
@@ -1046,6 +1075,8 @@ class Table:
                 yield from source
                 return
             for batch in source:
+                if key_keep is not None:
+                    batch = batch.filter(run_pred, key_keep)
                 kept = resolver.resolve(batch.rows())
                 if kept:
                     yield ColumnBatch.from_rows(fields, kept)
@@ -1057,9 +1088,10 @@ class Table:
                     rows = project_rows(rows, pending_idx)
                 yield ColumnBatch.from_rows(fields, rows)
             for run in runs:
-                yield from self._corruption_guard(
-                    run_batches(run), f"run[{run.rid}]"
-                )
+                source = run_batches(run)
+                if guarded:
+                    source = self._corruption_guard(source, f"run[{run.rid}]")
+                yield from source
 
         return chained(), target
 
@@ -1126,12 +1158,17 @@ class Table:
             rows = map(projector, rows)
         return [tuple(r) for r in rows]
 
+    def _levelled_stored_rows(self) -> int:
+        """Rows the pending buffer and the runs hold, before resolution —
+        an upper bound on the live rows, from metadata alone."""
+        return len(self._regions[0].pending) + sum(
+            r.row_count for r in self._runs
+        )
+
     def _levelled_row_count(self) -> int:
         spec = self.plan.levels
         if spec.key is None and not self._level_tombstones:
-            return len(self._regions[0].pending) + sum(
-                r.row_count for r in self._runs
-            )
+            return self._levelled_stored_rows()
         rows, _ = self._levelled_rows(None, None)
         return sum(1 for _ in rows)
 
@@ -2400,27 +2437,32 @@ class Table:
     ) -> int:
         """Delete/update on a levelled table: no run is ever rewritten.
 
-        Matching *visible* rows are resolved once; pending rows are
-        filtered (and, for updates, re-appended transformed) in place, and
-        one tombstone per distinct victim — merge key when keyed, full row
-        value otherwise — suppresses matches in the immutable runs until a
-        merge physically drops them. The pending zone synopsis is rebuilt
-        incrementally from the surviving rows, never left stale.
+        Matching *visible* rows are read once, through the scan's batch
+        reader (so a keyed table reads only the predicate's key range);
+        pending rows are filtered (and, for updates, re-appended
+        transformed) in place, and one tombstone per distinct victim —
+        merge key when keyed, full row value otherwise — suppresses
+        matches in the immutable runs until a merge physically drops them.
+        The pending zone synopsis is rebuilt incrementally from the
+        surviving rows, never left stale.
         """
         entry = self._entry
         spec = self.plan.levels
         keyed = spec.key is not None
-        key_expr = spec.key
         with self._db.mutate(self.name) as m:
             with self._db.adaptivity.pause():
-                rows_iter, _ = self._levelled_rows(None, None)
-                visible = list(rows_iter)
-            if predicate is None:
-                matched = visible
-            else:
-                matched = [
-                    r for r in visible if predicate.matches(r, positions)
-                ]
+                batches, _ = self._levelled_batches(
+                    None, predicate, guarded=False
+                )
+                if predicate is None:
+                    matched = [r for b in batches for r in b.rows()]
+                else:
+                    row_filter = predicate.compile(positions)
+                    matched = [
+                        r
+                        for b in batches
+                        for r in b.filter(predicate, row_filter).rows()
+                    ]
             if not matched:
                 return 0
             new_rows: list[tuple] = []
@@ -2438,18 +2480,15 @@ class Table:
             # copies always match together).
             victims: list = []
             victim_set: set = set()
+            key_of = _level_key_getter(spec, names) if keyed else tuple
             for row in matched:
-                value = (
-                    eval_scalar(key_expr, row, positions)
-                    if keyed
-                    else tuple(row)
-                )
+                value = key_of(row)
                 if value not in victim_set:
                     victim_set.add(value)
                     victims.append(value)
             if keyed:
                 def drop(row: tuple) -> bool:
-                    return eval_scalar(key_expr, row, positions) in victim_set
+                    return key_of(row) in victim_set
             else:
                 def drop(row: tuple) -> bool:
                     return row in victim_set
@@ -2575,12 +2614,7 @@ class _LevelResolver:
 
     def __init__(self, spec, names: Sequence[str], tombstones):
         self.keyed = spec.key is not None
-        if self.keyed:
-            positions = {n: i for i, n in enumerate(names)}
-            key_expr = spec.key
-            self.key_of = lambda row: eval_scalar(key_expr, row, positions)
-        else:
-            self.key_of = None
+        self.key_of = _level_key_getter(spec, names) if self.keyed else None
         self.seen: set = set()  # merge keys emitted or tombstoned (keyed)
         self.dead: set = set()  # active tombstone row values (multiset)
         # Ascending by seq; popped from the tail as the walk gets older.
@@ -2684,6 +2718,30 @@ def _region_may_match(spec, region, lo: float, hi: float) -> bool:
 
         return stable_hash(lo) % spec.buckets == region.key
     return True
+
+
+def _level_key_getter(spec, names: Sequence[str]):
+    """Merge-key extractor over rows in ``names`` order: a positional
+    getter for a plain-field key, :func:`eval_scalar` for an expression."""
+    positions = {n: i for i, n in enumerate(names)}
+    if spec.key_field is not None:
+        return operator.itemgetter(positions[spec.key_field])
+    key_expr = spec.key
+    return lambda row: eval_scalar(key_expr, row, positions)
+
+
+def _key_in_range(i: int, lo: float, hi: float):
+    """Row filter ``lo <= row[i] <= hi`` for a levelled key range. A key
+    the numeric bounds cannot compare (a string key) fails it: predicate
+    ranges are necessary conditions, so such a row can never match."""
+
+    def keep(row: Sequence[Any]) -> bool:
+        try:
+            return lo <= row[i] <= hi
+        except TypeError:
+            return False
+
+    return keep
 
 
 def _projection_idx(
